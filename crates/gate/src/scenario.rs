@@ -263,12 +263,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// The default full-size shape for `kind`.
-    #[deprecated(note = "use ScenarioConfig::builder(kind).seed(seed).build()")]
-    pub fn full(kind: ScenarioKind, seed: u64) -> ScenarioConfig {
-        ScenarioConfig::builder(kind).seed(seed).build()
-    }
-
     /// The drainer-thread count the plane and async scenarios will use.
     pub fn effective_drainers(&self) -> usize {
         if self.drainers > 0 {
@@ -285,12 +279,6 @@ impl ScenarioConfig {
         } else {
             self.threads.max(1) * 32
         }
-    }
-
-    /// A small shape for tests and CI smoke runs.
-    #[deprecated(note = "use ScenarioConfig::builder(kind).quick().seed(seed).build()")]
-    pub fn quick(kind: ScenarioKind, seed: u64) -> ScenarioConfig {
-        ScenarioConfig::builder(kind).quick().seed(seed).build()
     }
 
     /// Total operations the run issues (`threads * ops_per_thread`);
@@ -1022,13 +1010,13 @@ fn run_ring_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
 /// single-call scenario exactly.
 ///
 /// [`ScenarioKind::DrainerStall`] runs the identical workload with one
-/// extra thread: a stall antagonist that loops `sweep_ready` over the
-/// plane's ring set, *claiming* readiness bits and per-slot drain
-/// exclusivity, sleeping while it holds them, draining nothing, and
-/// re-marking every slot ready on release. The real drainers bounce off
-/// the held slots, queued entries age, and the tail of the latency
-/// distribution stretches — while the allow/deny split stays bit-for-bit
-/// identical to the unstalled run.
+/// extra thread: a stall antagonist that loops a ledger claim over the
+/// plane's ring set (`claim_ready`, then `drain_claimed` per slot),
+/// holding readiness bits and per-slot drain exclusivity, sleeping while
+/// it holds them, draining nothing, and re-marking every slot ready on
+/// release. The real drainers bounce off the held slots, queued entries
+/// age, and the tail of the latency distribution stretches — while the
+/// allow/deny split stays bit-for-bit identical to the unstalled run.
 fn run_plane_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
     use secmod_kernel::{DispatchPlane, PlaneConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1059,6 +1047,8 @@ fn run_plane_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
             let set = plane.ring_set();
             let producers_done = &producers_done;
             scope.spawn(move || {
+                let ledger = set.claim_ledger();
+                let mut claimed = Vec::new();
                 while producers_done.load(Ordering::Acquire) < cfg.threads {
                     // Claim whatever is ready and sit on it: while this
                     // closure holds a slot, its drain-exclusivity flag
@@ -1067,10 +1057,14 @@ fn run_plane_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
                     // their sweeps. Nothing is popped; returning `true`
                     // re-flags the slot so the work is *delayed*, never
                     // lost.
-                    set.sweep_ready(|_slot, _rings| {
-                        std::thread::sleep(Duration::from_micros(200));
-                        true
-                    });
+                    claimed.clear();
+                    set.claim_ready(&ledger, &mut claimed);
+                    for &(slot, _tenant) in &claimed {
+                        set.drain_claimed(slot, &ledger, |_slot, _rings| {
+                            std::thread::sleep(Duration::from_micros(200));
+                            true
+                        });
+                    }
                     std::thread::sleep(Duration::from_micros(50));
                 }
             });

@@ -22,13 +22,16 @@
 //! ("identifier removed") instead of dispatching into a dead module —
 //! the batched analogue of the single-call path's epoch fold.
 //!
-//! Within a chunk, decisions are served from a **drain-local memo**
-//! keyed by function id: the first entry for a function resolves through
-//! the module gateway (and charges the true cached/uncached cost),
-//! repeats are priced as cached decisions. The memo is cleared whenever
-//! the gateway's epoch moves (policy grant, key registration, or any
-//! kernel detach/remove), so its staleness window is one chunk — the
-//! same window at which teardown is honoured.
+//! Every entry asks the module's one decision cache: stub lookup, then
+//! `RegisteredModule::check_session_call` (thread-local L0, sharded
+//! cache, or the policy engine), then the body — the same question
+//! `sys_smod_call` asks, priced the same way (a cached tier at
+//! `cached_decision_ns`, an engine evaluation at its full cost). The
+//! entry's cache key is assembled from two halves hashed ahead of time
+//! (the session's context key and the stub's operation key), so a cached
+//! answer costs no string hashing. Policy mutations and teardown
+//! invalidate that cache through its own epoch, so the drain keeps no
+//! decision state of its own.
 //!
 //! The chunked loop itself — epoch re-read, per-chunk credential
 //! re-verification, EIDRM on teardown, completion-space reservation — is
@@ -73,19 +76,24 @@ pub struct BatchReport {
     pub fixed_cost_ns: u64,
 }
 
-/// Drain-local gate hit/miss tally. First-sight decisions inside a drain
-/// record their tier here instead of bumping the shared counters, and the
-/// whole tally is flushed into [`secmod_obs::DispatchMetrics`] once per
-/// drain — the batched analogue of the single-call path's per-trap
-/// increments, keeping `gate_hits`/`gate_misses` exact without putting a
-/// shared-line RMW inside the per-entry loop.
+/// Drain-local counter tally: the gate hit/miss split, the inline/arena
+/// argument split and the per-entry latencies. Entries inside a drain
+/// record here instead of bumping the shared counters, and the whole
+/// tally is flushed into [`secmod_obs::DispatchMetrics`] once per drain
+/// (latencies once per run of equal values) — the batched analogue of
+/// the single-call path's per-trap increments, keeping the counters
+/// exact without putting a shared-line RMW inside the per-entry loop.
 #[derive(Default)]
-struct GateTally {
+struct DrainTally {
     hits: u64,
     misses: u64,
+    inline_args: u64,
+    arena_args: u64,
+    /// The latency run not yet recorded: `(ns, entries)`.
+    latency_run: (u64, u64),
 }
 
-impl GateTally {
+impl DrainTally {
     fn record(&mut self, tier: secmod_policy::DecisionTier) {
         if tier.is_cached() {
             self.hits += 1;
@@ -94,34 +102,28 @@ impl GateTally {
         }
     }
 
-    fn flush(self, metrics: &secmod_obs::DispatchMetrics) {
-        if self.hits > 0 {
-            metrics.gate_hits.add(self.hits);
+    fn record_latency(&mut self, metrics: &secmod_obs::DispatchMetrics, flavor: Flavor, ns: u64) {
+        let (run_ns, run_len) = self.latency_run;
+        if run_ns != ns {
+            metrics.record_latency_n(flavor, run_ns, run_len);
+            self.latency_run = (ns, 0);
         }
-        if self.misses > 0 {
-            metrics.gate_misses.add(self.misses);
-        }
+        self.latency_run.1 += 1;
+    }
+
+    fn flush(self, metrics: &secmod_obs::DispatchMetrics, flavor: Flavor) {
+        metrics.gate_hits.add(self.hits);
+        metrics.gate_misses.add(self.misses);
+        metrics.arena.inline_args.add(self.inline_args);
+        metrics.arena.arena_args.add(self.arena_args);
+        let (run_ns, run_len) = self.latency_run;
+        metrics.record_latency_n(flavor, run_ns, run_len);
     }
 }
 
-/// One memoised per-drain dispatch decision for a function id.
-enum MemoEntry {
-    /// No such stub: `ENOENT`.
-    Missing,
-    /// Policy denies the caller this function: `EACCES`.
-    Denied,
-    /// Stub exists but no body is registered: `ENOSYS`.
-    NoBody,
-    /// Allowed; the body to run (Arc-cloned once per drain, not per call).
-    Allowed(FunctionBody),
-}
-
-/// Reusable drain buffers: the decision memo and the chunk staging
-/// areas. A sweep allocates one of these and reuses it across every
-/// session it visits (the memo is cleared per session — decisions are
-/// valid only for the credential they were resolved under).
+/// Reusable drain buffers: the chunk staging areas. A sweep allocates
+/// one of these and reuses it across every session it visits.
 pub(crate) struct DrainScratch {
-    memo: Vec<(u32, MemoEntry)>,
     chunk: Vec<SmodCallReq>,
     responses: Vec<SmodCallResp>,
 }
@@ -129,7 +131,6 @@ pub(crate) struct DrainScratch {
 impl DrainScratch {
     pub(crate) fn new() -> DrainScratch {
         DrainScratch {
-            memo: Vec::new(),
             chunk: Vec::with_capacity(BATCH_CHUNK),
             responses: Vec::with_capacity(BATCH_CHUNK),
         }
@@ -137,9 +138,8 @@ impl DrainScratch {
 }
 
 /// The once-per-drain resolution of a session: the pinned session and
-/// module, the epochs the decision memo is valid under, and the
-/// credential identity the per-chunk re-verification compares against.
-/// Built by [`Kernel::resolve_session_drain`]; consumed by
+/// module and the kernel epoch the pin was taken under. Built by
+/// [`Kernel::resolve_session_drain`]; consumed by
 /// [`Kernel::drain_session_rings`]. This is the "resolve once" that the
 /// batched path performs per syscall and the sweep performs once per
 /// session per sweep.
@@ -147,10 +147,6 @@ pub(crate) struct SessionDrain {
     pub(crate) session: Arc<Session>,
     module: Arc<RegisteredModule>,
     kernel_epoch: u64,
-    gate_epoch: u64,
-    /// Credential identity decisions were last memoised under; movement
-    /// clears the memo (per-chunk re-verification).
-    last_cred: (u32, Option<u64>),
     dead: bool,
 }
 
@@ -288,22 +284,17 @@ impl Kernel {
     }
 
     /// Resolve a session for a drain: pin the module `Arc`, fold the
-    /// kernel epoch into the gateway, and snapshot the epochs and the
-    /// memoised credential identity. This is the fixed work the batched
-    /// path pays once per syscall and the sweep pays once per session per
-    /// sweep.
+    /// kernel epoch into the gateway, and snapshot that epoch. This is the
+    /// fixed work the batched path pays once per syscall and the sweep
+    /// pays once per session per sweep.
     pub(crate) fn resolve_session_drain(&self, session: Arc<Session>) -> SessionDrain {
         let module = Arc::clone(session.module_ref());
         let kernel_epoch = self.smod_epoch();
         module.gateway.observe_kernel_epoch(kernel_epoch);
-        let gate_epoch = module.gateway.epoch();
-        let last_cred = (session.proto.uid, session.proto.principal_fp);
         SessionDrain {
             session,
             module,
             kernel_epoch,
-            gate_epoch,
-            last_cred,
             dead: false,
         }
     }
@@ -331,24 +322,19 @@ impl Kernel {
         scratch: &mut DrainScratch,
         flavor: Flavor,
     ) -> DrainOutcome {
-        scratch.memo.clear();
         let mut outcome = DrainOutcome::default();
-        // Drain-local gate tally: L0/sharded hits and engine misses are
-        // counted here and flushed into the shared `DispatchMetrics`
-        // counters once per drain, so the hot decision path writes no
-        // shared cache line per entry but the registry stays exact.
-        let mut gate_tally = GateTally::default();
+        // Drain-local tally: gate hits/misses, the inline/arena argument
+        // split and the latencies are counted here and flushed into the
+        // shared `DispatchMetrics` once per drain, so the per-entry path
+        // writes no shared counter line but the registry stays exact.
+        let mut tally = DrainTally::default();
         let trace = self.tracer.enabled();
         // Two refcount bumps per drain keep the borrows of `d` (mutated
         // inside the pair-locked closure) disjoint from the session/module
         // handles used around it.
         let session = Arc::clone(&d.session);
         let module = Arc::clone(&d.module);
-        let DrainScratch {
-            memo,
-            chunk,
-            responses,
-        } = scratch;
+        let DrainScratch { chunk, responses } = scratch;
 
         while outcome.drained < budget {
             // Reserve completion space *before* consuming submissions: a
@@ -370,10 +356,16 @@ impl Kernel {
                 break;
             }
 
+            #[cfg(test)]
+            tests::CHUNK_BOUNDARY.with(|hook| {
+                if let Some(hook) = hook.borrow_mut().as_mut() {
+                    hook(self, session.id, outcome.drained);
+                }
+            });
+
             // Epoch fold between chunks: a detach/remove that completed
-            // since the last chunk invalidates the pinned session; any
-            // epoch movement (including live policy mutations through the
-            // gateway) invalidates the drain-local decision memo.
+            // since the last chunk invalidates the pinned session (and,
+            // folded into the gateway, every cached decision).
             if !d.dead {
                 let now = self.smod_epoch();
                 if now != d.kernel_epoch {
@@ -381,11 +373,6 @@ impl Kernel {
                     module.gateway.observe_kernel_epoch(now);
                     d.dead = self.sessions.get(session.id).is_none()
                         || self.registry.get(session.module).is_err();
-                }
-                let gate_now = module.gateway.epoch();
-                if gate_now != d.gate_epoch {
-                    d.gate_epoch = gate_now;
-                    memo.clear();
                 }
             }
 
@@ -403,17 +390,8 @@ impl Kernel {
                     // already pair-locked here, so consulting the live
                     // credential costs a fingerprint comparison, no extra
                     // locking. A mismatch (revocation mid-batch) switches
-                    // the chunk to a live-derived view and invalidates
-                    // the drain memo.
+                    // the chunk to a live-derived view.
                     let module_name = &module.package.image.name;
-                    let cred_now = (
-                        client_proc.cred.uid,
-                        client_proc.cred.principal_fp64(module_name),
-                    );
-                    if cred_now != d.last_cred {
-                        d.last_cred = cred_now;
-                        memo.clear();
-                    }
                     let live: Option<(String, Option<secmod_policy::Principal>, u32)> =
                         if session.proto.matches(&client_proc.cred, module_name) {
                             None
@@ -434,8 +412,7 @@ impl Kernel {
                             req,
                             region,
                             live.as_ref(),
-                            memo,
-                            &mut gate_tally,
+                            &mut tally,
                             |body, args| {
                                 let mut ctx = crate::smodreg::HandleCtx {
                                     handle_vm: &mut handle_proc.vm,
@@ -506,7 +483,7 @@ impl Kernel {
                 // flatten the distribution — record the entries that did
                 // real per-entry work, the same set `checked` counts.
                 if resp.cost_ns > 0 {
-                    self.metrics.record_latency(flavor, resp.cost_ns);
+                    tally.record_latency(&self.metrics, flavor, resp.cost_ns);
                 }
                 if resp.errno == Errno::EIDRM.code() {
                     self.metrics.eidrm_failures.incr();
@@ -518,19 +495,18 @@ impl Kernel {
                 }
             }
         }
-        gate_tally.flush(&self.metrics);
+        tally.flush(&self.metrics, flavor);
         outcome
     }
 
-    /// Process one submission entry: validate, resolve the decision (from
-    /// the drain memo, or through the module gateway on the first sight
-    /// of this function id — cached vs uncached charged honestly), run
-    /// the body via `run` (which supplies the pair-locked
-    /// [`crate::smodreg::HandleCtx`]), and assemble the completion.
-    /// `live` overrides the session prototype when the chunk found the
-    /// live credential diverged from it. Returns the completion, the
-    /// body's extra charged nanoseconds (already included in `cost_ns`),
-    /// and whether a body actually ran.
+    /// Process one submission entry: validate, ask the module's decision
+    /// cache (`RegisteredModule::check_session_call`, cached vs uncached
+    /// charged honestly), run the body via `run` (which supplies the
+    /// pair-locked [`crate::smodreg::HandleCtx`]), and assemble the
+    /// completion. `live` overrides the session prototype when the chunk
+    /// found the live credential diverged from it. Returns the
+    /// completion, the body's extra charged nanoseconds (already included
+    /// in `cost_ns`), and whether a body actually ran.
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn batch_entry(
         &self,
@@ -539,8 +515,7 @@ impl Kernel {
         req: &SmodCallReq,
         region: Option<&ArenaRegion>,
         live: Option<&(String, Option<secmod_policy::Principal>, u32)>,
-        memo: &mut Vec<(u32, MemoEntry)>,
-        gate_tally: &mut GateTally,
+        tally: &mut DrainTally,
         run: impl FnOnce(&FunctionBody, &[u8]) -> (SysResult<Vec<u8>>, u64),
     ) -> (SmodCallResp, u64, bool) {
         let fail = |errno: Errno, cost_ns: u64| {
@@ -558,96 +533,60 @@ impl Kernel {
         if req.session != session.id.0 {
             return fail(Errno::EPERM, 0);
         }
-        // Resolve the decision: memo hit, or first-sight gateway probe.
-        let mut policy_cost = self.cost.cached_decision_ns;
-        let memo_idx = match memo.iter().position(|(id, _)| *id == req.proc_id) {
-            Some(idx) => idx,
-            None => {
-                let entry = match module.package.stub_table.by_id(req.proc_id) {
-                    None => MemoEntry::Missing,
-                    Some(stub) => {
-                        let proto = &session.proto;
-                        let (app_domain, principal, uid) = match live {
-                            Some((name, principal, uid)) => {
-                                (name.as_str(), principal.as_ref(), *uid)
-                            }
-                            None => (
-                                proto.client_name.as_str(),
-                                proto.principal.as_ref(),
-                                proto.uid,
-                            ),
-                        };
-                        let (allowed, tier) =
-                            module.check_operation(app_domain, principal, uid, &stub.symbol);
-                        gate_tally.record(tier);
-                        // The first sight of a function in a drain pays
-                        // the true decision cost; repeats are memo hits.
-                        policy_cost = if tier.is_cached() {
-                            self.cost.cached_decision_ns
-                        } else {
-                            self.cost.policy_per_node_ns * module.policy_complexity as u64
-                        };
-                        if !allowed {
-                            MemoEntry::Denied
-                        } else {
-                            match module.functions.get(req.proc_id) {
-                                Some(body) => MemoEntry::Allowed(body),
-                                None => MemoEntry::NoBody,
-                            }
-                        }
-                    }
-                };
-                memo.push((req.proc_id, entry));
-                memo.len() - 1
-            }
-        };
         // The zero-copy payoff, in cost-model form: an arena-resident
         // argument block crosses the ring as an `(offset, len, gen)`
         // descriptor, so the kernel charges one extra slot hand-off
         // instead of `copy_per_byte_ns x len` — the paper's shared-stack
         // argument. By-value args (inline or heap) still pay per byte.
         let copy_cost = if req.args.is_arena() {
-            self.metrics.arena.arena_args.incr();
+            tally.arena_args += 1;
             self.cost.ring_slot_ns
         } else {
-            self.metrics.arena.inline_args.incr();
+            tally.inline_args += 1;
             self.cost.copy_per_byte_ns * req.args.len() as u64
         };
-        match &memo[memo_idx].1 {
-            MemoEntry::Missing => fail(Errno::ENOENT, 0),
-            MemoEntry::Denied => fail(Errno::EACCES, policy_cost + copy_cost),
-            MemoEntry::NoBody => fail(Errno::ENOSYS, policy_cost + copy_cost),
-            MemoEntry::Allowed(body) => {
-                let (result, extra_ns) = run(body, req.args.as_slice());
-                let cost_ns = policy_cost + copy_cost + extra_ns;
-                match result {
-                    // Large results go back through the session's arena
-                    // region too, when there is one — the completion
-                    // carries a descriptor and the producer reads the
-                    // result in place at reap time.
-                    Ok(ret) => (
-                        SmodCallResp {
-                            user_data: req.user_data,
-                            ret: ArgRef::place_vec(ret, region),
-                            errno: 0,
-                            cost_ns,
-                        },
-                        extra_ns,
-                        true,
-                    ),
-                    Err(e) => (
-                        SmodCallResp {
-                            user_data: req.user_data,
-                            ret: ArgRef::empty(),
-                            errno: e.code(),
-                            cost_ns,
-                        },
-                        extra_ns,
-                        true,
-                    ),
-                }
+        let Some(stub) = module.package.stub_table.by_id(req.proc_id) else {
+            return fail(Errno::ENOENT, 0);
+        };
+        let (allowed, tier) = match live {
+            Some((name, principal, uid)) => {
+                module.check_operation(name, principal.as_ref(), *uid, &stub.symbol)
             }
+            None => module.check_session_call(&session.proto, req.proc_id, &stub.symbol),
+        };
+        tally.record(tier);
+        let policy_cost = if tier.is_cached() {
+            self.cost.cached_decision_ns
+        } else {
+            self.cost.policy_per_node_ns * module.policy_complexity as u64
+        };
+        if !allowed {
+            return fail(Errno::EACCES, policy_cost + copy_cost);
         }
+        let Some(body) = module.stub_body(req.proc_id) else {
+            return fail(Errno::ENOSYS, policy_cost + copy_cost);
+        };
+        let (result, extra_ns) = run(body, req.args.as_slice());
+        let cost_ns = policy_cost + copy_cost + extra_ns;
+        let resp = match result {
+            // Large results go back through the session's arena region
+            // too, when there is one — the completion carries a
+            // descriptor and the producer reads the result in place at
+            // reap time.
+            Ok(ret) => SmodCallResp {
+                user_data: req.user_data,
+                ret: ArgRef::place_vec(ret, region),
+                errno: 0,
+                cost_ns,
+            },
+            Err(e) => SmodCallResp {
+                user_data: req.user_data,
+                ret: ArgRef::empty(),
+                errno: e.code(),
+                cost_ns,
+            },
+        };
+        (resp, extra_ns, true)
     }
 }
 
@@ -656,30 +595,51 @@ pub(crate) mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::cred::Credential;
-    use crate::smod::{ModuleKeyDelivery, SmodCallArgs};
+    use crate::smod::{ModuleKeyDelivery, SessionId, SmodCallArgs};
     use crate::smodreg::FunctionTable;
     use secmod_module::builder::ModuleBuilder;
     use secmod_module::{ModuleId, SmodPackage, StubTable};
     use secmod_policy::assertion::{Assertion, LicenseeExpr};
-    use secmod_policy::{PolicyEngine, Principal};
+    use secmod_policy::{CacheConfig, PolicyEngine, Principal};
     use secmod_ring::{Ring, SMOD_BATCH_DEFAULT_BUDGET};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::RefCell;
 
     pub(crate) const ALICE_KEY: &[u8] = b"batch-alice-key";
     const MAC_KEY: &[u8] = b"batch-mac-key";
 
+    /// A fault point at a drain's chunk boundary.
+    type ChunkHook = Box<dyn FnMut(&Kernel, SessionId, usize)>;
+
+    thread_local! {
+        /// The fault point [`Kernel::drain_session_rings`] calls at every
+        /// chunk boundary of a drain running on this thread, with the
+        /// session and the entries it has drained so far. It runs after
+        /// the next chunk is staged and before the epoch fold, with no
+        /// pair lock held, so a teardown done from here lands exactly
+        /// between two chunks.
+        pub(crate) static CHUNK_BOUNDARY: RefCell<Option<ChunkHook>> = const { RefCell::new(None) };
+    }
+
+    /// Install `hook` as this thread's chunk-boundary fault point.
+    pub(crate) fn at_chunk_boundary(hook: impl FnMut(&Kernel, SessionId, usize) + 'static) {
+        CHUNK_BOUNDARY.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
+    }
+
     /// Register the libc-like module with a policy granting alice every
     /// function except `strlen`; every body returns its u64 argument + 1.
-    /// `slow_gate`, when set, makes every body sleep 1 ms until the flag
-    /// flips — the hook the mid-batch/mid-sweep teardown tests use to
-    /// widen the race window. `n_clients` clients are spawned, each
-    /// presenting the alice credential through its own session (the sweep
-    /// tests drain many sessions; the batch tests use client 0).
-    pub(crate) fn kernel_with_clients(
-        slow_gate: Option<Arc<AtomicBool>>,
+    /// `n_clients` clients are spawned, each presenting the alice
+    /// credential through its own session (the sweep tests drain many
+    /// sessions; the batch tests use client 0).
+    pub(crate) fn kernel_with_clients(n_clients: usize) -> (Kernel, ModuleId, Vec<Pid>, u32) {
+        kernel_with_clients_cached(CacheConfig::default(), n_clients)
+    }
+
+    /// [`kernel_with_clients`] on a kernel whose modules get `cache`.
+    fn kernel_with_clients_cached(
+        cache: CacheConfig,
         n_clients: usize,
     ) -> (Kernel, ModuleId, Vec<Pid>, u32) {
-        let k = Kernel::new(CostModel::default());
+        let k = Kernel::with_gate_config(CostModel::default(), cache);
         let registrar = k
             .spawn_process("registrar", Credential::root(), vec![0x90; 4096], 2, 2)
             .unwrap();
@@ -700,13 +660,7 @@ pub(crate) mod tests {
         let stub_table = StubTable::generate(&image);
         let mut functions = FunctionTable::new();
         for stub in &stub_table.stubs {
-            let gate = slow_gate.clone();
             functions.register(stub.func_id, move |_ctx, args| {
-                if let Some(gate) = &gate {
-                    if !gate.load(Ordering::Acquire) {
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
                 let v = u64::from_le_bytes(args[..8].try_into().map_err(|_| Errno::EINVAL)?);
                 Ok((v + 1).to_le_bytes().to_vec())
             });
@@ -743,8 +697,8 @@ pub(crate) mod tests {
         (k, m_id, clients, incr_id)
     }
 
-    fn kernel_with_module(slow_gate: Option<Arc<AtomicBool>>) -> (Kernel, ModuleId, Pid, u32) {
-        let (k, m_id, clients, incr) = kernel_with_clients(slow_gate, 1);
+    fn kernel_with_module() -> (Kernel, ModuleId, Pid, u32) {
+        let (k, m_id, clients, incr) = kernel_with_clients(1);
         (k, m_id, clients[0], incr)
     }
 
@@ -769,7 +723,7 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_matches_sequential_results_and_order() {
-        let (k, _m, client, incr) = kernel_with_module(None);
+        let (k, _m, client, incr) = kernel_with_module();
         let (sq, cq) = rings(64);
         for i in 0..40u64 {
             sq.push_spsc(req(&k, client, incr, i, 100 + i)).unwrap();
@@ -798,7 +752,7 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_respects_budget_and_leaves_the_rest_queued() {
-        let (k, _m, client, incr) = kernel_with_module(None);
+        let (k, _m, client, incr) = kernel_with_module();
         let (sq, cq) = rings(32);
         for i in 0..10u64 {
             sq.push_spsc(req(&k, client, incr, i, i)).unwrap();
@@ -813,7 +767,7 @@ pub(crate) mod tests {
 
     #[test]
     fn per_entry_failures_do_not_poison_the_batch() {
-        let (k, m_id, client, incr) = kernel_with_module(None);
+        let (k, m_id, client, incr) = kernel_with_module();
         let strlen = k
             .registry
             .get(m_id)
@@ -854,12 +808,50 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn drain_tally_flushes_exact_metrics() {
+        // The drain counts locally and flushes once; the registry must
+        // still see every entry exactly once, latency runs included.
+        let (k, m_id, client, incr) = kernel_with_module();
+        let module = k.registry.get(m_id).unwrap();
+        let strlen = module.package.stub_table.by_name("strlen").unwrap().func_id;
+        let (sq, cq) = rings(64);
+        // Allowed and denied entries interleave, so equal-cost runs break
+        // on every entry; a run of four allowed entries ends the batch.
+        // Unknown-function entries are validation rejects: no latency.
+        let ids = [incr, strlen, incr, 9999, strlen, incr, incr, incr, incr];
+        for (i, &id) in ids.iter().enumerate() {
+            sq.push_spsc(req(&k, client, id, i as u64, i as u64))
+                .unwrap();
+        }
+        let m = &k.metrics;
+        let decisions = m.gate_hits.get() + m.gate_misses.get();
+        let (count, sum) = (
+            m.latency(Flavor::Batch).count(),
+            m.latency(Flavor::Batch).sum(),
+        );
+        let inline = m.arena.inline_args.get();
+        let report = k.sys_smod_call_batch(client, &sq, &cq, 64).unwrap();
+        assert_eq!(report.drained, ids.len());
+        let costs: Vec<u64> = (0..ids.len())
+            .map(|_| cq.pop_spsc().unwrap().cost_ns)
+            .collect();
+        let checked = costs.iter().filter(|&&ns| ns > 0).count() as u64;
+        assert_eq!(checked, 8);
+        assert_eq!(m.gate_hits.get() + m.gate_misses.get() - decisions, checked);
+        assert_eq!(m.latency(Flavor::Batch).count() - count, checked);
+        assert_eq!(
+            m.latency(Flavor::Batch).sum() - sum,
+            costs.iter().sum::<u64>()
+        );
+        assert_eq!(m.arena.inline_args.get() - inline, ids.len() as u64);
+    }
+
+    #[test]
     fn live_policy_mutation_is_visible_at_the_next_chunk() {
-        // The drain memo may serve a decision for at most one chunk: a
-        // grant added mid-batch (here: between two batched drains, and
-        // within one batch across a chunk boundary) must flip the denied
-        // function to allowed.
-        let (k, m_id, client, _incr) = kernel_with_module(None);
+        // A grant added between two batched drains must flip the denied
+        // function to allowed: the drain asks the gateway per entry, and
+        // the grant moves the gateway's epoch.
+        let (k, m_id, client, _incr) = kernel_with_module();
         let strlen = k
             .registry
             .get(m_id)
@@ -881,7 +873,7 @@ pub(crate) mod tests {
             assert_eq!(cq.pop_spsc().unwrap().errno, Errno::EACCES.code());
         }
         // Grant strlen through the live gateway (bumps the gateway epoch,
-        // which clears any drain memo at the next chunk boundary).
+        // which retires every cached decision).
         let alice = Principal::from_key("uid1000", ALICE_KEY);
         k.registry
             .get(m_id)
@@ -904,7 +896,7 @@ pub(crate) mod tests {
         // (unknown function, wrong module); a batch made entirely of such
         // entries must not charge the amortised fixed cost either — only
         // the syscall trap the drain itself cost.
-        let (k, _m, client, _incr) = kernel_with_module(None);
+        let (k, _m, client, _incr) = kernel_with_module();
         let (sq, cq) = rings(8);
         for i in 0..4u64 {
             sq.push_spsc(req(&k, client, u32::MAX, i, i)).unwrap();
@@ -925,7 +917,7 @@ pub(crate) mod tests {
         // Regression: sq and cq both capacity 8 passes the EINVAL guard;
         // batching twice without reaping used to spin forever inside the
         // kernel (the only consumer of cq being the blocked caller).
-        let (k, _m, client, incr) = kernel_with_module(None);
+        let (k, _m, client, incr) = kernel_with_module();
         let (sq, cq) = rings(8);
         for i in 0..8u64 {
             sq.push_spsc(req(&k, client, incr, i, i)).unwrap();
@@ -955,7 +947,7 @@ pub(crate) mod tests {
         // The paper's "credentials are re-verified on every smod_call"
         // invariant, batched: stripping the credential mid-session turns
         // the very next batched drain into denials.
-        let (k, _m, client, incr) = kernel_with_module(None);
+        let (k, _m, client, incr) = kernel_with_module();
         let (sq, cq) = rings(16);
         sq.push_spsc(req(&k, client, incr, 0, 1)).unwrap();
         assert_eq!(
@@ -981,7 +973,7 @@ pub(crate) mod tests {
 
     #[test]
     fn validation_mirrors_sys_smod_call() {
-        let (k, m_id, client, incr) = kernel_with_module(None);
+        let (k, m_id, client, incr) = kernel_with_module();
         let (sq, cq) = rings(8);
         // A completion ring smaller than the submission ring is refused.
         let small_cq: CompletionRing = Ring::with_capacity(4);
@@ -1024,8 +1016,8 @@ pub(crate) mod tests {
     #[test]
     fn batched_clock_cost_is_amortised_vs_sequential() {
         const N: u64 = 64;
-        let (seq_kernel, m_id, seq_client, incr) = kernel_with_module(None);
-        let (batch_kernel, _m2, batch_client, incr2) = kernel_with_module(None);
+        let (seq_kernel, m_id, seq_client, incr) = kernel_with_module();
+        let (batch_kernel, _m2, batch_client, incr2) = kernel_with_module();
         assert_eq!(incr, incr2);
 
         let t0 = seq_kernel.clock.now_ns();
@@ -1075,50 +1067,69 @@ pub(crate) mod tests {
 
     #[test]
     fn module_removed_mid_batch_fails_remaining_entries() {
-        const ENTRIES: usize = 192;
-        let gate = Arc::new(AtomicBool::new(false));
-        let (k, m_id, client, incr) = kernel_with_module(Some(Arc::clone(&gate)));
+        const ENTRIES: usize = 6 * BATCH_CHUNK;
+        const TEARDOWN_AT: usize = 2 * BATCH_CHUNK;
+        let (k, m_id, client, incr) = kernel_with_module();
         let (sq, cq) = rings(ENTRIES);
         for i in 0..ENTRIES as u64 {
             sq.push_spsc(req(&k, client, incr, i, i)).unwrap();
         }
-
-        let k = &k;
-        let report = std::thread::scope(|s| {
-            // The teardown actor: wait for the batch to be mid-flight
-            // (bodies sleep while the gate is closed), then detach the
-            // session and remove the module — both bump the kernel epoch.
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+        // The teardown actor: once two chunks have run, detach the
+        // session and remove the module — both bump the kernel epoch —
+        // between the second and third chunk.
+        at_chunk_boundary(move |k, _session, drained| {
+            if drained == TEARDOWN_AT {
                 k.smod_detach(client, "mid-batch teardown").unwrap();
                 k.sys_smod_remove(Pid(1), m_id).unwrap();
-                gate.store(true, Ordering::Release);
-            });
-            k.sys_smod_call_batch(client, &sq, &cq, ENTRIES).unwrap()
+            }
         });
+        let report = k.sys_smod_call_batch(client, &sq, &cq, ENTRIES).unwrap();
 
         assert_eq!(report.drained, ENTRIES, "every entry must be answered");
         assert!(report.aborted, "teardown mid-batch must be reported");
-        assert!(
-            report.completed > 0,
-            "the leading chunk ran before teardown"
-        );
-        assert!(report.failed > 0, "entries after the teardown must fail");
-        // Completions: a prefix of successes, then EIDRM for everything
-        // drained after the module vanished — never an Allow afterwards.
-        let mut seen_dead = false;
+        assert_eq!(report.completed, TEARDOWN_AT, "the leading chunks ran");
+        assert_eq!(report.failed, ENTRIES - TEARDOWN_AT);
+        // Completions: the leading chunks succeed, then EIDRM for
+        // everything drained after the module vanished.
         for i in 0..ENTRIES {
             let resp = cq.pop_spsc().expect("completion present");
-            if resp.is_ok() {
-                assert!(
-                    !seen_dead,
-                    "entry {i} succeeded after the module was removed"
-                );
+            if i < TEARDOWN_AT {
+                assert!(resp.is_ok(), "entry {i} ran before the teardown");
             } else {
-                assert_eq!(resp.errno, Errno::EIDRM.code());
-                seen_dead = true;
+                assert_eq!(resp.errno, Errno::EIDRM.code(), "entry {i}");
             }
         }
-        assert!(seen_dead);
+    }
+
+    #[test]
+    fn uncached_kernel_prices_every_batched_entry_as_an_engine_decision() {
+        // With the decision cache disabled every tier is disabled, so each
+        // of N calls to one function is an engine evaluation: N gate
+        // misses, and each entry priced like an uncached `sys_smod_call`.
+        const N: usize = 16;
+        let (k, m_id, clients, incr) = kernel_with_clients_cached(CacheConfig::disabled(), 1);
+        let client = clients[0];
+        let (sq, cq) = rings(N);
+        for i in 0..N as u64 {
+            sq.push_spsc(req(&k, client, incr, i, i)).unwrap();
+        }
+        let misses = k.metrics.gate_misses.get();
+        let hits = k.metrics.gate_hits.get();
+        let report = k.sys_smod_call_batch(client, &sq, &cq, N).unwrap();
+        assert_eq!(report.completed, N);
+        assert_eq!(k.metrics.gate_misses.get() - misses, N as u64);
+        assert_eq!(k.metrics.gate_hits.get(), hits, "no tier may answer");
+        let module = k.registry.get(m_id).unwrap();
+        let engine_ns = k.cost.policy_per_node_ns * module.policy_complexity as u64;
+        let copy_ns = k.cost.copy_per_byte_ns * 8;
+        for _ in 0..N {
+            let resp = cq.pop_spsc().unwrap();
+            assert!(resp.is_ok());
+            assert_eq!(
+                resp.cost_ns,
+                engine_ns + copy_ns,
+                "entry priced as an engine evaluation"
+            );
+        }
     }
 }

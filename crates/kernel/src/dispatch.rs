@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn kernel_dispatch_one_matches_sys_smod_call() {
-        let (k, m, clients, incr) = kernel_with_clients(None, 1);
+        let (k, m, clients, incr) = kernel_with_clients(1);
         let client = clients[0];
         let via_trait = k.dispatch_one(client, incr, &7u64.to_le_bytes()).unwrap();
         let via_syscall = k
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn kernel_dispatch_batch_keeps_call_order() {
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let (k, _m, clients, incr) = kernel_with_clients(1);
         let client = clients[0];
         let calls: Vec<DispatchCall> = (0..10u64)
             .map(|i| {
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn plane_handle_dispatches_the_same_outcomes_as_the_kernel() {
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let (k, _m, clients, incr) = kernel_with_clients(1);
         let client = clients[0];
         let calls: Vec<DispatchCall> = (0..64u64)
             .map(|i| {
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn plane_dispatch_after_shutdown_reports_detached() {
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let (k, _m, clients, incr) = kernel_with_clients(1);
         let client = clients[0];
         let kernel = Arc::new(k);
         let plane = DispatchPlane::start(Arc::clone(&kernel), PlaneConfig::default()).unwrap();

@@ -35,18 +35,21 @@
 //! A plane configured with a [`QosPolicy`] ([`PlaneConfigBuilder::qos`])
 //! hosts sessions from many tenants: [`DispatchPlane::attach_tenant`]
 //! tags each attachment's ring-set slot with a [`TenantId`], and the
-//! drainers switch from the plain sweep to `sys_smod_sweep_qos` — claim
-//! the ready slots into a per-drainer [`ClaimLedger`], let the shared
-//! [`SweepScheduler`] plan a weighted-fair (or major-frame) split, drain
-//! the chosen slots, release the deferred ones. A [`HealthConfig`]
-//! ([`PlaneConfigBuilder::health`]) additionally arms the supervisor: a
-//! dedicated thread polling each drainer's heartbeat. A drainer that
-//! stops beating for two deadlines is declared dead; the supervisor
-//! reclaims whatever its ledger still holds claimed (handing the
-//! readiness bits back to the set so no submitted entry is stranded) and
-//! respawns the seat. [`CrashSpec`] ([`PlaneConfigBuilder::crash`]) is
-//! the fault drill that proves the loop: the targeted drainer claims
-//! ready work exactly like a real sweep would, then dies holding it.
+//! shared [`SweepScheduler`] sits inside every sweep: the ready slots
+//! are claimed into the drainer's [`ClaimLedger`], the scheduler plans a
+//! weighted-fair (or major-frame) split, the chosen slots drain and the
+//! deferred ones are released.
+//!
+//! Every drainer, scheduled or not, claims through its seat's ledger. A
+//! [`HealthConfig`] ([`PlaneConfigBuilder::health`]) arms the
+//! supervisor: a dedicated thread polling each drainer's heartbeat. A
+//! drainer that stops beating for two deadlines is declared dead; the
+//! supervisor reclaims whatever its ledger still holds claimed (handing
+//! the readiness bits back to the set so no submitted entry is
+//! stranded) and respawns the seat. [`CrashSpec`]
+//! ([`PlaneConfigBuilder::crash`]) is the fault drill that proves the
+//! loop: the targeted drainer claims ready work exactly like a real
+//! sweep would, then dies holding it.
 
 use crate::cred::Credential;
 use crate::dispatch::{DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher};
@@ -111,10 +114,10 @@ pub struct PlaneConfig {
     /// `sched_setaffinity`. Best-effort: platforms without affinity
     /// support run unpinned.
     pub pin_drainers: bool,
-    /// Multi-tenant scheduling policy. `None` keeps the plain sweep
+    /// Multi-tenant scheduling policy. `None` drains every claimed slot
     /// (every registration lands in [`TenantId::DEFAULT`] and slots are
-    /// served in bitmap order); `Some` switches the drainers to the
-    /// claim / plan / drain QoS sweep.
+    /// served in bitmap order); `Some` puts a scheduler between each
+    /// sweep's claim and drain.
     pub qos: Option<QosPolicy>,
     /// Arm the drainer health monitor and its supervisor thread. `None`
     /// runs unsupervised (pre-QoS behaviour).
@@ -200,14 +203,24 @@ impl PlaneConfigBuilder {
         self
     }
 
-    /// Multi-tenant scheduling policy (switches drainers to the QoS
-    /// sweep).
+    /// Multi-tenant scheduling policy (a scheduler plans each sweep).
     pub fn qos(mut self, policy: QosPolicy) -> Self {
         self.cfg.qos = Some(policy);
         self
     }
 
     /// Arm the drainer health monitor and supervisor.
+    ///
+    /// A `Dead` verdict (a heartbeat older than twice
+    /// [`HealthConfig::deadline`]) makes the supervisor reclaim every
+    /// claim in the seat's ledger and respawn the seat, with or without
+    /// [`PlaneConfigBuilder::qos`]. The verdict is trusted to mean the
+    /// drainer is gone. A drainer that is alive but stalls for two
+    /// deadlines mid-sweep (descheduled, or stuck in a slow body) still
+    /// holds the slots it claimed; after the reclaim the respawned seat
+    /// can drain those slots at the same time, which breaks per-session
+    /// FIFO and can over-reserve completion-ring space. Choose a
+    /// deadline well above the longest sweep the plane can run.
     pub fn health(mut self, health: HealthConfig) -> Self {
         self.cfg.health = Some(health);
         self
@@ -296,8 +309,8 @@ struct PlaneShared {
     /// either raced a drainer that will still see its readiness bit, or
     /// one that is already sweeping.
     idle: AtomicUsize,
-    /// The QoS scheduler, when the plane is multi-tenant. `None` keeps
-    /// the plain sweep.
+    /// The QoS scheduler, when the plane is multi-tenant. `None` drains
+    /// every claimed slot.
     sched: Option<Arc<SweepScheduler>>,
     /// The drainer health monitor, when armed.
     monitor: Option<Arc<HealthMonitor>>,
@@ -669,22 +682,18 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         }
         // Sweep until stopped; `Err` means the drainer's own process
         // vanished (kernel torn down around the plane) — nothing left to
-        // do either way.
-        let report = match &shared.sched {
-            Some(sched) => shared.kernel.sys_smod_sweep_qos(
-                ctx.pid,
-                &shared.set,
-                sched,
-                &ctx.ledger,
-                shared.params.session_budget,
-            ),
-            None => {
-                shared
-                    .kernel
-                    .sys_smod_sweep(ctx.pid, &shared.set, shared.params.session_budget)
-            }
+        // do either way. The seat's ledger records every claim,
+        // scheduled or not, so the supervisor can reclaim whatever a
+        // dead drainer held.
+        let Ok(report) = shared.kernel.sweep(
+            ctx.pid,
+            &shared.set,
+            &ctx.ledger,
+            shared.sched.as_deref(),
+            shared.params.session_budget,
+        ) else {
+            break;
         };
-        let Ok(report) = report else { break };
         stats.absorb(&report);
         if report.drained > 0 {
             // Completions were pushed (the sweep also flagged the
@@ -734,8 +743,9 @@ fn supervisor_loop(
         for seat in monitor.take_dead() {
             // Swap the corpse's ledger out of service first, so the
             // replacement never shares it, then hand its claimed bits
-            // back. Safe to reclaim: a Dead verdict means two missed
-            // deadlines — the corpse is not mid-drain, it is gone.
+            // back. This trusts a Dead verdict (two missed deadlines) to
+            // mean the corpse is gone, not mid-drain; see
+            // `PlaneConfigBuilder::health` for the false-death hazard.
             let stale = {
                 let mut ledgers = shared.ledgers.write();
                 std::mem::replace(&mut ledgers[seat], Arc::new(shared.set.claim_ledger()))
@@ -1120,7 +1130,7 @@ mod tests {
         n_clients: usize,
         drainers: usize,
     ) -> (Arc<Kernel>, DispatchPlane, Vec<Pid>, u32) {
-        let (k, _m, clients, incr) = kernel_with_clients(None, n_clients);
+        let (k, _m, clients, incr) = kernel_with_clients(n_clients);
         let kernel = Arc::new(k);
         let plane = DispatchPlane::start(
             Arc::clone(&kernel),
@@ -1298,7 +1308,7 @@ mod tests {
     fn submit_many_counts_one_bounce_per_full_event() {
         // A 4-deep submission ring with the doorbell deferred: the whole
         // prefix fits silently, the first overflow flushes and bounces.
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let (k, _m, clients, incr) = kernel_with_clients(1);
         let kernel = Arc::new(k);
         let plane = DispatchPlane::start(
             Arc::clone(&kernel),
@@ -1387,7 +1397,7 @@ mod tests {
     fn qos_plane_serves_every_tenant_and_fills_their_lanes() {
         use secmod_qos::TenantSpec;
         const PER_PRODUCER: u64 = 200;
-        let (k, _m, clients, incr) = kernel_with_clients(None, 2);
+        let (k, _m, clients, incr) = kernel_with_clients(2);
         let kernel = Arc::new(k);
         let plane = DispatchPlane::start(
             Arc::clone(&kernel),
@@ -1444,22 +1454,28 @@ mod tests {
 
     #[test]
     fn crashed_drainer_is_reclaimed_respawned_and_no_entry_is_lost() {
+        // Scheduled or not, every drainer claims through its seat's
+        // ledger, so the supervisor recovers either kind of plane.
+        for qos in [Some(QosPolicy::weighted_fair([])), None] {
+            crashed_drainer_recovers(qos);
+        }
+    }
+
+    fn crashed_drainer_recovers(qos: Option<QosPolicy>) {
         const ENTRIES: u64 = 48;
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1);
+        let (k, _m, clients, incr) = kernel_with_clients(1);
         let kernel = Arc::new(k);
-        let plane = DispatchPlane::start(
-            Arc::clone(&kernel),
-            PlaneConfig::builder()
-                .drainers(1)
-                .qos(QosPolicy::weighted_fair([]))
-                .health(HealthConfig::with_deadline(Duration::from_millis(10)))
-                .crash(CrashSpec {
-                    drainer: 0,
-                    after_sweeps: 0,
-                })
-                .build(),
-        )
-        .unwrap();
+        let mut cfg = PlaneConfig::builder()
+            .drainers(1)
+            .health(HealthConfig::with_deadline(Duration::from_millis(10)))
+            .crash(CrashSpec {
+                drainer: 0,
+                after_sweeps: 0,
+            });
+        if let Some(qos) = qos {
+            cfg = cfg.qos(qos);
+        }
+        let plane = DispatchPlane::start(Arc::clone(&kernel), cfg.build()).unwrap();
         let handle = plane.attach(clients[0]).unwrap();
         // The lone drainer dies on the first submission it sees (the
         // crash drill claims the ready bit and exits), so every reaped

@@ -95,6 +95,10 @@ pub(crate) struct CallProto {
     pub(crate) principal_fp: Option<u64>,
     /// The client uid.
     pub(crate) uid: u32,
+    /// The decision-cache context key of this identity's calls to the
+    /// session's module (`None` exactly when `principal` is): hashed once
+    /// here so a dispatch builds its cache key without hashing strings.
+    pub(crate) context: Option<secmod_policy::ContextKey>,
 }
 
 impl CallProto {
@@ -517,6 +521,9 @@ impl Kernel {
             module_ref: Arc::clone(&module),
             proto: CallProto {
                 principal_fp: principal.as_ref().map(Principal::fingerprint),
+                context: principal
+                    .as_ref()
+                    .map(|p| module.context_key(&client_name, p, client_cred.uid)),
                 principal,
                 client_name,
                 uid: client_cred.uid,
@@ -699,12 +706,7 @@ impl Kernel {
             .procs
             .with(session.client, |p| proto.matches(&p.cred, module_name))?;
         let (allowed, tier) = if cred_matches {
-            module.check_operation(
-                &proto.client_name,
-                proto.principal.as_ref(),
-                proto.uid,
-                &stub.symbol,
-            )
+            module.check_session_call(proto, call.func_id, &stub.symbol)
         } else {
             let (client_name, principal, uid) = self.procs.with(session.client, |p| {
                 (
@@ -753,7 +755,7 @@ impl Kernel {
         // locked (pid-ordered) without touching the process map; the
         // caller's overhead and the handle's extra time are charged under
         // the locks already held.
-        let body = module.functions.get(call.func_id).ok_or(Errno::ENOSYS)?;
+        let body = module.stub_body(call.func_id).ok_or(Errno::ENOSYS)?;
         let (result, extra_ns) = session.with_pair(|handle_proc, client_proc| {
             client_proc.cpu_time_ns += overhead;
             let mut ctx = HandleCtx {

@@ -14,11 +14,12 @@
 use crate::clock::StripedCounter;
 use crate::errno::Errno;
 use crate::proc::Pid;
+use crate::smod::CallProto;
 use crate::SysResult;
 use parking_lot::RwLock;
 use secmod_crypto::keystore::KeyHandle;
 use secmod_module::{ModuleId, ModuleImage, SmodPackage};
-use secmod_policy::Gateway;
+use secmod_policy::{AccessRequest, ContextKey, DecisionTier, Gateway, OperationKey, Principal};
 use secmod_vm::{Vaddr, VmSpace};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
@@ -105,8 +106,8 @@ impl FunctionTable {
     }
 
     /// Look up a body.
-    pub fn get(&self, func_id: u32) -> Option<FunctionBody> {
-        self.bodies.get(&func_id).cloned()
+    pub fn get(&self, func_id: u32) -> Option<&FunctionBody> {
+        self.bodies.get(&func_id)
     }
 
     /// Number of registered bodies.
@@ -118,6 +119,13 @@ impl FunctionTable {
     pub fn is_empty(&self) -> bool {
         self.bodies.is_empty()
     }
+}
+
+/// One stub's dispatch entry: the per-call half of its cache key (the
+/// hashed operation name) and the body it runs.
+struct StubEntry {
+    operation: OperationKey,
+    body: Option<FunctionBody>,
 }
 
 /// A module registered with the kernel.
@@ -148,10 +156,15 @@ pub struct RegisteredModule {
     /// AST node count of the policy at registration time, used by the cost
     /// model to charge uncached (full fixpoint) policy evaluations.
     pub policy_complexity: usize,
-    /// Function bodies executed by the handle.
+    /// Function bodies executed by the handle. The dispatch paths run
+    /// the bodies [`RegisteredModule::new`] resolved from this table per
+    /// stub, so edits after construction are not dispatched.
     pub functions: FunctionTable,
     /// Uid of the principal that registered the module (may remove it).
     pub registered_by_uid: u32,
+    /// What each stub dispatches to, resolved once at registration and
+    /// indexed like `package.stub_table.stubs` (so by function id).
+    stubs: Vec<StubEntry>,
     sessions_started: StripedCounter,
     calls_dispatched: StripedCounter,
 }
@@ -169,6 +182,15 @@ impl RegisteredModule {
         registered_by_uid: u32,
     ) -> RegisteredModule {
         let policy_complexity = gateway.with_engine(|e| e.total_complexity());
+        let stubs = package
+            .stub_table
+            .stubs
+            .iter()
+            .map(|stub| StubEntry {
+                operation: OperationKey::of(&stub.symbol),
+                body: functions.get(stub.func_id).cloned(),
+            })
+            .collect();
         RegisteredModule {
             id,
             package,
@@ -178,6 +200,7 @@ impl RegisteredModule {
             policy_complexity,
             functions,
             registered_by_uid,
+            stubs,
             sessions_started: StripedCounter::new(),
             calls_dispatched: StripedCounter::new(),
         }
@@ -216,30 +239,83 @@ impl RegisteredModule {
     /// sharded cache, or the engine); a missing principal denies without
     /// consulting the gateway, exactly as an engine query with no
     /// requesters would. Every dispatch path (single-call fast and slow,
-    /// batched) funnels through here so the request shape cannot diverge
-    /// between them.
+    /// batched, session establishment) funnels through here or through
+    /// [`RegisteredModule::check_session_call`], which asks the same
+    /// question, so the request shape cannot diverge between them.
     pub(crate) fn check_operation(
         &self,
         app_domain: &str,
-        principal: Option<&secmod_policy::Principal>,
+        principal: Option<&Principal>,
         uid: u32,
         operation: &str,
-    ) -> (bool, secmod_policy::DecisionTier) {
+    ) -> (bool, DecisionTier) {
         match principal {
             // No principal denies without consulting the gateway; billed as
             // an engine-tier (uncached) decision, as before.
-            None => (false, secmod_policy::DecisionTier::Engine),
+            None => (false, DecisionTier::Engine),
             Some(principal) => {
-                let request = secmod_policy::AccessRequest {
-                    requesters: std::slice::from_ref(principal),
-                    app_domain,
-                    module: &self.package.image.name,
-                    version: self.package.image.version.0,
-                    operation,
-                    uid: uid as i64,
-                };
+                let request = self.request(app_domain, principal, uid, operation);
                 self.gateway.is_allowed_tiered(&request)
             }
+        }
+    }
+
+    /// [`RegisteredModule::check_operation`] for a call to stub `func_id`
+    /// (named `operation`) under a session's memoised prototype. The
+    /// cache key comes from the prototype's context key and the stub's
+    /// operation key, both hashed ahead of time, so a cached answer costs
+    /// no string hashing. `func_id` must name a stub of this module.
+    pub(crate) fn check_session_call(
+        &self,
+        proto: &CallProto,
+        func_id: u32,
+        operation: &str,
+    ) -> (bool, DecisionTier) {
+        match (&proto.principal, proto.context) {
+            (Some(principal), Some(context)) => {
+                let request = self.request(&proto.client_name, principal, proto.uid, operation);
+                let operation = self.stubs[func_id as usize].operation;
+                self.gateway
+                    .is_allowed_prehashed(&request, context, operation)
+            }
+            _ => (false, DecisionTier::Engine),
+        }
+    }
+
+    /// The body stub `func_id` runs (`None` when none was registered);
+    /// `func_id` must name a stub of this module. The dispatch paths look
+    /// bodies up here rather than in [`RegisteredModule::functions`]: an
+    /// index instead of a hash-map probe per call.
+    pub(crate) fn stub_body(&self, func_id: u32) -> Option<&FunctionBody> {
+        self.stubs[func_id as usize].body.as_ref()
+    }
+
+    /// The context key of every call `principal` (acting for `uid` in
+    /// `app_domain`) makes to this module, for a session's prototype.
+    pub(crate) fn context_key(
+        &self,
+        app_domain: &str,
+        principal: &Principal,
+        uid: u32,
+    ) -> ContextKey {
+        // The operation is not part of the context key.
+        self.request(app_domain, principal, uid, "").context_key()
+    }
+
+    fn request<'a>(
+        &'a self,
+        app_domain: &'a str,
+        principal: &'a Principal,
+        uid: u32,
+        operation: &'a str,
+    ) -> AccessRequest<'a> {
+        AccessRequest {
+            requesters: std::slice::from_ref(principal),
+            app_domain,
+            module: &self.package.image.name,
+            version: self.package.image.version.0,
+            operation,
+            uid: uid as i64,
         }
     }
 }

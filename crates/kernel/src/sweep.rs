@@ -4,12 +4,22 @@
 //! `sys_smod_call_batch` amortises fixed dispatch cost across one
 //! session's batch; what remains is one trap and one session resolution
 //! *per session* per drain round. The sweep hoists those too: a single
-//! invocation claims the ring set's readiness bitmap, resolves each
-//! ready session — session table lookup, ownership check, credential
-//! prototype, module gateway, epoch fold — **once per sweep**, and runs
+//! invocation claims the ring set's readiness bitmap into a
+//! [`ClaimLedger`], resolves each claimed session — session table
+//! lookup, ownership check, credential prototype, module gateway, epoch
+//! fold — **once per sweep**, and runs
 //! the same chunked pair-lock drain ([`Kernel::drain_session_rings`])
 //! the batched path uses, so the epoch-re-read / credential-re-check /
 //! `EIDRM` semantics are shared code, not a second copy.
+//!
+//! There is one sweep body. `sys_smod_sweep` runs it with a call-local
+//! ledger and no scheduler: every claimed slot drains up to
+//! `session_budget`. `sys_smod_sweep_qos` runs it with the drainer's own
+//! ledger and a [`SweepScheduler`] that plans which tenants' slots drain
+//! this round; the rest go straight back to the bitmap. A plane's
+//! drainers always pass their seat's ledger, so a drainer that dies
+//! mid-sweep leaves its claims where the health monitor can reclaim
+//! them.
 //!
 //! Cost model: the trap, stubs and context-switch pair are charged once
 //! per sweep, credential/session resolution once per session, and per
@@ -79,8 +89,8 @@ struct SweepTotals {
     sessions_checked: usize,
 }
 
-/// What one slot's visit did (the per-slot slice of the totals, so the
-/// QoS sweep can charge each tenant for exactly its own entries).
+/// What one slot's visit did (the per-slot slice of the totals, so a
+/// scheduled sweep can charge each tenant for exactly its own entries).
 struct SlotDrain {
     remark: bool,
     drained: usize,
@@ -92,8 +102,7 @@ impl Kernel {
     /// The shared per-slot sweep body: resolve the slot's session once,
     /// drain up to `session_budget` entries (or fail everything queued
     /// with `EIDRM` for a dead/foreign slot), and fold the outcome into
-    /// `totals`. Used verbatim by both the plain and the QoS sweep so
-    /// the epoch / credential / `EIDRM` semantics stay one copy of code.
+    /// `totals`.
     fn sweep_visit(
         &self,
         set: &RingSet,
@@ -205,21 +214,15 @@ impl Kernel {
     /// session's own client, exactly as on the batched path. Takes
     /// `&self`: concurrent sweeps partition the ready set between
     /// themselves (the readiness words are claimed atomically), and
-    /// producers may keep submitting while a sweep is in flight.
+    /// producers may keep submitting while a sweep is in flight. The
+    /// claims go into a call-local ledger.
     pub fn sys_smod_sweep(
         &self,
         caller: Pid,
         set: &RingSet,
         session_budget: usize,
     ) -> SysResult<SweepReport> {
-        self.procs.with(caller, |_| ())?; // the drainer must be a live process
-        let mut totals = SweepTotals::default();
-        let mut scratch = DrainScratch::new();
-        set.sweep_ready(|slot, rings| {
-            self.sweep_visit(set, slot, rings, session_budget, &mut scratch, &mut totals)
-                .remark
-        });
-        Ok(self.finish_sweep(caller, totals))
+        self.sweep(caller, set, &set.claim_ledger(), None, session_budget)
     }
 
     /// The tenant-scheduled sweep: claim the ready set into the
@@ -231,8 +234,8 @@ impl Kernel {
     /// cost accounting) are identical to [`Kernel::sys_smod_sweep`] —
     /// the same code runs. The differences are the scheduler sitting
     /// between claim and drain, per-tenant deficit charging, and the
-    /// claims being recorded in `ledger` so the plane's health monitor
-    /// can reclaim them if this drainer dies mid-sweep.
+    /// claims being recorded in the caller's `ledger` so the plane's
+    /// health monitor can reclaim them if this drainer dies mid-sweep.
     pub fn sys_smod_sweep_qos(
         &self,
         caller: Pid,
@@ -241,16 +244,39 @@ impl Kernel {
         ledger: &ClaimLedger,
         session_budget: usize,
     ) -> SysResult<SweepReport> {
-        self.procs.with(caller, |_| ())?;
+        self.sweep(caller, set, ledger, Some(sched), session_budget)
+    }
+
+    /// The one sweep body: claim the ready set into `ledger`, then
+    /// drain every claimed slot at `session_budget` (no scheduler) or
+    /// exactly the slots `sched` plans, charging each tenant what it
+    /// consumed and releasing the deferred slots.
+    pub(crate) fn sweep(
+        &self,
+        caller: Pid,
+        set: &RingSet,
+        ledger: &ClaimLedger,
+        sched: Option<&SweepScheduler>,
+        session_budget: usize,
+    ) -> SysResult<SweepReport> {
+        self.procs.with(caller, |_| ())?; // the drainer must be a live process
         let mut candidates: Vec<(RingSlotId, u32)> = Vec::new();
         set.claim_ready(ledger, &mut candidates);
+        let mut totals = SweepTotals::default();
+        let mut scratch = DrainScratch::new();
+        let Some(sched) = sched else {
+            for (slot, _tenant) in candidates {
+                set.drain_claimed(slot, ledger, |slot, rings| {
+                    self.sweep_visit(set, slot, rings, session_budget, &mut scratch, &mut totals)
+                        .remark
+                });
+            }
+            return Ok(self.finish_sweep(caller, totals));
+        };
         let raw: Vec<(usize, u32)> = candidates.iter().map(|(s, t)| (s.0, *t)).collect();
         // The simulated clock positions the major frame, so
         // time-partitioned tests are as deterministic as everything else.
         let plan = sched.plan(&raw, self.clock.now_ns(), session_budget);
-
-        let mut totals = SweepTotals::default();
-        let mut scratch = DrainScratch::new();
         for &(slot, _tenant) in &plan.deferred {
             set.release_claimed(RingSlotId(slot), ledger);
         }
@@ -272,12 +298,10 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::tests::{kernel_with_clients, req};
+    use crate::batch::tests::{at_chunk_boundary, kernel_with_clients, req};
     use crate::batch::BATCH_CHUNK;
     use crate::errno::Errno;
     use secmod_ring::{RingPairConfig, RingSlotId, SMOD_BATCH_DEFAULT_BUDGET};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     /// Register `clients`' sessions in a fresh ring set (slot i ↔ client i).
     fn ring_set_for(
@@ -319,7 +343,7 @@ mod tests {
     fn sweep_drains_every_ready_session_once() {
         const SESSIONS: usize = 8;
         const PER_SESSION: u64 = 16;
-        let (k, _m, clients, incr) = kernel_with_clients(None, SESSIONS);
+        let (k, _m, clients, incr) = kernel_with_clients(SESSIONS);
         let (set, slots) = ring_set_for(&k, &clients, 64);
         let drainer = sweeper(&k);
         for (s, &client) in clients.iter().enumerate() {
@@ -374,7 +398,7 @@ mod tests {
         const SESSIONS: usize = 8;
         const QUEUED: u64 = 64;
         const BUDGET: usize = 16;
-        let (k, _m, clients, incr) = kernel_with_clients(None, SESSIONS);
+        let (k, _m, clients, incr) = kernel_with_clients(SESSIONS);
         let (set, slots) = ring_set_for(&k, &clients, QUEUED as usize);
         let drainer = sweeper(&k);
         for (s, &client) in clients.iter().enumerate() {
@@ -413,7 +437,7 @@ mod tests {
 
     #[test]
     fn dead_and_foreign_slots_fail_with_eidrm() {
-        let (k, _m, clients, incr) = kernel_with_clients(None, 3);
+        let (k, _m, clients, incr) = kernel_with_clients(3);
         let (set, slots) = ring_set_for(&k, &clients, 8);
         let drainer = sweeper(&k);
         // Slot 0: session detached before the sweep.
@@ -462,12 +486,12 @@ mod tests {
     #[test]
     fn detach_racing_a_sweep_fails_the_remainder_with_eidrm() {
         // The sweep analogue of module_removed_mid_batch: while a sweep is
-        // mid-drain (bodies sleeping behind the gate), one session
-        // detaches. Its remaining entries must fail with EIDRM — and the
-        // *other* session must be entirely unaffected.
+        // mid-drain, one session detaches between two of its chunks. Its
+        // remaining entries must fail with EIDRM — and the *other*
+        // session must be entirely unaffected.
         const ENTRIES: usize = 6 * BATCH_CHUNK;
-        let gate = Arc::new(AtomicBool::new(false));
-        let (k, _m, clients, incr) = kernel_with_clients(Some(Arc::clone(&gate)), 2);
+        const TEARDOWN_AT: usize = 2 * BATCH_CHUNK;
+        let (k, _m, clients, incr) = kernel_with_clients(2);
         let (set, slots) = ring_set_for(&k, &clients, ENTRIES);
         let drainer = sweeper(&k);
         for (s, &client) in clients.iter().enumerate() {
@@ -475,50 +499,41 @@ mod tests {
                 set.submit(slots[s], req(&k, client, incr, i, i)).unwrap();
             }
         }
-
-        let k = &k;
         let (victim, survivor) = (clients[0], clients[1]);
-        let report = std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
+        let victim_session = k.session_of(victim).unwrap().id;
+        at_chunk_boundary(move |k, session, drained| {
+            if session == victim_session && drained == TEARDOWN_AT {
                 k.smod_detach(victim, "mid-sweep teardown").unwrap();
-                gate.store(true, Ordering::Release);
-            });
-            k.sys_smod_sweep(drainer, &set, ENTRIES).unwrap()
+            }
         });
+        let report = k.sys_smod_sweep(drainer, &set, ENTRIES).unwrap();
 
         assert_eq!(report.drained, 2 * ENTRIES, "every entry must be answered");
-        assert!(report.failed > 0, "the detached session must lose entries");
-
-        // Victim: a prefix of successes, then EIDRM — never an Allow after
-        // the detach.
+        assert_eq!(report.failed, ENTRIES - TEARDOWN_AT);
+        assert_eq!(report.completed, TEARDOWN_AT + ENTRIES);
+        // Victim: the leading chunks succeed, then EIDRM — never an Allow
+        // after the detach.
         let victim_rings = set.get(slots[0]).unwrap();
-        let mut seen_dead = false;
-        let mut victim_ok = 0;
         for i in 0..ENTRIES {
             let resp = victim_rings.cq.pop_spsc().expect("victim completion");
-            if resp.is_ok() {
-                assert!(!seen_dead, "entry {i} succeeded after the detach");
-                victim_ok += 1;
+            if i < TEARDOWN_AT {
+                assert!(resp.is_ok(), "entry {i} ran before the detach");
             } else {
-                assert_eq!(resp.errno, Errno::EIDRM.code());
-                seen_dead = true;
+                assert_eq!(resp.errno, Errno::EIDRM.code(), "entry {i}");
             }
         }
-        assert!(seen_dead, "the detach landed after the sweep finished");
         // Survivor: every single entry completed normally.
         let survivor_rings = set.get(slots[1]).unwrap();
         for _ in 0..ENTRIES {
             let resp = survivor_rings.cq.pop_spsc().expect("survivor completion");
             assert!(resp.is_ok(), "the surviving session must be unaffected");
         }
-        assert_eq!(report.completed, victim_ok + ENTRIES);
         assert_eq!(k.session_of(survivor).unwrap().calls(), ENTRIES as u64);
     }
 
     #[test]
     fn empty_sweep_charges_just_the_trap() {
-        let (k, _m, clients, _incr) = kernel_with_clients(None, 2);
+        let (k, _m, clients, _incr) = kernel_with_clients(2);
         let (set, _slots) = ring_set_for(&k, &clients, 8);
         let drainer = sweeper(&k);
         let before = k.clock.now_ns();
@@ -537,7 +552,7 @@ mod tests {
         use secmod_qos::{QosPolicy, SweepScheduler, TenantSpec};
         const SESSIONS: usize = 4;
         const PER_SESSION: u64 = 16;
-        let (k, _m, clients, incr) = kernel_with_clients(None, SESSIONS);
+        let (k, _m, clients, incr) = kernel_with_clients(SESSIONS);
         let (set, slots) = ring_set_for(&k, &clients, 64);
         let drainer = sweeper(&k);
         for (s, &client) in clients.iter().enumerate() {
@@ -581,7 +596,7 @@ mod tests {
         // would give the victim 1/13 of the service; DRR must hold ~1/2.
         const ADV_SESSIONS: usize = 12;
         const QUEUED: u64 = 64;
-        let (k, _m, clients, incr) = kernel_with_clients(None, 1 + ADV_SESSIONS);
+        let (k, _m, clients, incr) = kernel_with_clients(1 + ADV_SESSIONS);
         let set = RingSet::with_capacity(clients.len());
         let slots: Vec<RingSlotId> = clients
             .iter()
@@ -646,7 +661,7 @@ mod tests {
         use secmod_qos::{QosPolicy, SweepScheduler, TenantSpec};
         const SESSIONS: usize = 4;
         const PER_SESSION: u64 = 8;
-        let (k, _m, clients, incr) = kernel_with_clients(None, SESSIONS);
+        let (k, _m, clients, incr) = kernel_with_clients(SESSIONS);
         let (set, slots) = ring_set_for(&k, &clients, 16);
         for (s, &client) in clients.iter().enumerate() {
             for i in 0..PER_SESSION {
@@ -694,7 +709,7 @@ mod tests {
         const SESSIONS: usize = 64;
         const BATCH: usize = 32;
 
-        let (rr, _m, rr_clients, incr) = kernel_with_clients(None, SESSIONS);
+        let (rr, _m, rr_clients, incr) = kernel_with_clients(SESSIONS);
         let pairs: Vec<_> = (0..SESSIONS)
             .map(|_| {
                 RingPairConfig {
@@ -718,7 +733,7 @@ mod tests {
         }
         let round_robin_ns = rr.clock.now_ns() - t0;
 
-        let (sw, _m2, sw_clients, incr2) = kernel_with_clients(None, SESSIONS);
+        let (sw, _m2, sw_clients, incr2) = kernel_with_clients(SESSIONS);
         assert_eq!(incr, incr2);
         let (set, slots) = ring_set_for(&sw, &sw_clients, BATCH);
         let drainer = sweeper(&sw);

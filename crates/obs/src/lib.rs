@@ -549,6 +549,13 @@ impl DispatchMetrics {
         self.latency[flavor.index()].record(ns);
     }
 
+    /// Record `n` calls of equal latency under `flavor` at the price of
+    /// one (the drain loops coalesce runs of equal per-entry cost).
+    #[inline]
+    pub fn record_latency_n(&self, flavor: Flavor, ns: u64, n: u64) {
+        self.latency[flavor.index()].record_n(ns, n);
+    }
+
     /// Average ready sessions visited per sweep trap.
     pub fn sessions_per_trap(&self) -> f64 {
         let traps = self.sweep_traps.get();

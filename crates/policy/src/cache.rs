@@ -46,10 +46,10 @@ pub fn mix64(mut z: u64) -> u64 {
 pub struct CacheKey {
     /// Order-insensitive fingerprint of the requesting principal set.
     pub principals: u64,
-    /// Fingerprint of the module name.
-    pub module: u64,
-    /// Fingerprint of the operation plus the rest of the action
+    /// Fingerprint of the module name plus the rest of the action
     /// environment (app domain, module version, uid).
+    pub module: u64,
+    /// Fingerprint of the operation name.
     pub operation: u64,
     /// The gateway invalidation epoch the decision was computed under.
     pub epoch: u64,

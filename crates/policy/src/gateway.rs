@@ -87,8 +87,12 @@ impl AccessRequest<'_> {
         )
     }
 
-    /// The cache identity of this request at `epoch`.
-    fn cache_key(&self, epoch: u64) -> CacheKey {
+    /// The hashed half of this request's cache identity that does not
+    /// name the operation. A caller asking many questions of one context
+    /// (a kernel session drains calls to many functions under one
+    /// credential) hashes it once and passes it to
+    /// [`Gateway::is_allowed_prehashed`].
+    pub fn context_key(&self) -> ContextKey {
         // Requester order must not matter, just as `PolicyEngine::query`
         // treats requesters as a set — so sort the fingerprints and hash
         // the sequence. (A commutative wrapping sum would be cheaper but
@@ -104,14 +108,50 @@ impl AccessRequest<'_> {
                 })
             }
         };
-        let mut operation = fnv64(self.operation.as_bytes());
-        operation = fnv64_chain(operation, self.app_domain.as_bytes());
-        operation = fnv64_chain(operation, &u64::from(self.version).to_le_bytes());
-        operation = fnv64_chain(operation, &self.uid.to_le_bytes());
-        CacheKey {
+        let mut context = fnv64(self.module.as_bytes());
+        context = fnv64_chain(context, self.app_domain.as_bytes());
+        context = fnv64_chain(context, &u64::from(self.version).to_le_bytes());
+        context = fnv64_chain(context, &self.uid.to_le_bytes());
+        ContextKey {
             principals,
-            module: fnv64(self.module.as_bytes()),
-            operation,
+            context,
+        }
+    }
+
+    /// The cache identity of this request at `epoch`.
+    fn cache_key(&self, epoch: u64) -> CacheKey {
+        self.context_key()
+            .key(OperationKey::of(self.operation), epoch)
+    }
+}
+
+/// The hashed requester set, module and action environment of an
+/// [`AccessRequest`]: everything in its [`CacheKey`] except the operation
+/// and the epoch. Built by [`AccessRequest::context_key`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ContextKey {
+    principals: u64,
+    context: u64,
+}
+
+/// The hashed operation name of an [`AccessRequest`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OperationKey(u64);
+
+impl OperationKey {
+    /// Hash an operation name.
+    pub fn of(operation: &str) -> OperationKey {
+        OperationKey(fnv64(operation.as_bytes()))
+    }
+}
+
+impl ContextKey {
+    /// The full cache key of `operation` in this context at `epoch`.
+    fn key(self, operation: OperationKey, epoch: u64) -> CacheKey {
+        CacheKey {
+            principals: self.principals,
+            module: self.context,
+            operation: operation.0,
             epoch,
         }
     }
@@ -214,6 +254,27 @@ impl Gateway {
     /// as deny and are cached at no tier, as in
     /// [`Gateway::is_allowed_with_origin`].
     pub fn is_allowed_tiered(&self, req: &AccessRequest) -> (bool, DecisionTier) {
+        self.is_allowed_prehashed(req, req.context_key(), OperationKey::of(req.operation))
+    }
+
+    /// [`Gateway::is_allowed_tiered`] with the request's key halves hashed
+    /// by the caller: `context` must be `req.context_key()` and
+    /// `operation` must be `OperationKey::of(req.operation)`. A caller
+    /// that asks one context many questions hashes each half once
+    /// instead of once per question; the answer and its tier are the
+    /// same.
+    pub fn is_allowed_prehashed(
+        &self,
+        req: &AccessRequest,
+        context: ContextKey,
+        operation: OperationKey,
+    ) -> (bool, DecisionTier) {
+        debug_assert_eq!(context, req.context_key(), "stale context key");
+        debug_assert_eq!(
+            operation,
+            OperationKey::of(req.operation),
+            "stale operation key"
+        );
         // A disabled cache disables every tier: the uncached baseline must
         // not be quietly served by a thread-local cache instead.
         if !self.cache.is_enabled() {
@@ -221,7 +282,7 @@ impl Gateway {
             debug_assert!(!cached, "disabled cache reported a hit");
             return (allowed, DecisionTier::Engine);
         }
-        let mut key = req.cache_key(self.epoch());
+        let mut key = context.key(operation, self.epoch());
         if let Some(allowed) = l0::lookup(self.id, &key) {
             return (allowed, DecisionTier::L0);
         }
@@ -457,6 +518,42 @@ mod tests {
         assert_eq!(t3, DecisionTier::Shared);
         // ... and the hit re-primes the L0.
         assert_eq!(gate.is_allowed_tiered(&r).1, DecisionTier::L0);
+    }
+
+    #[test]
+    fn prehashed_lookup_shares_entries_with_tiered() {
+        crate::l0::clear_thread_cache();
+        let gate = gateway_with_alice();
+        let requesters = [alice()];
+        let r = req(&requesters, "libc", "malloc");
+        assert_eq!(gate.is_allowed_tiered(&r), (true, DecisionTier::Engine));
+        let context = r.context_key();
+        let malloc = OperationKey::of("malloc");
+        assert_eq!(
+            gate.is_allowed_prehashed(&r, context, malloc),
+            (true, DecisionTier::L0),
+            "the same question must hit the entry the full hash created"
+        );
+        // The operation is the only part of the key that differs.
+        let free = req(&requesters, "libc", "free");
+        assert_eq!(free.context_key(), context);
+        assert_eq!(
+            gate.is_allowed_prehashed(&free, context, OperationKey::of("free")),
+            (true, DecisionTier::Engine)
+        );
+        assert_eq!(gate.is_allowed_tiered(&free), (true, DecisionTier::L0));
+        // Every other request field is part of the context key.
+        let mut other = r;
+        other.app_domain = "other-app";
+        assert_ne!(other.context_key(), context);
+        let mut other = r;
+        other.uid = 0;
+        assert_ne!(other.context_key(), context);
+        let mut other = r;
+        other.version = 2;
+        assert_ne!(other.context_key(), context);
+        let bob = [Principal::from_key("bob", b"bob-key")];
+        assert_ne!(req(&bob, "libc", "malloc").context_key(), context);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use assertion::{Assertion, LicenseeExpr};
 pub use attr::{AttrValue, Environment};
 pub use cache::{CacheConfig, CacheKey, CacheStats, DecisionCache};
 pub use engine::{Decision, PolicyEngine};
-pub use gateway::{AccessRequest, DecisionTier, Gateway};
+pub use gateway::{AccessRequest, ContextKey, DecisionTier, Gateway, OperationKey};
 pub use principal::Principal;
 pub use unix::UnixPolicy;
 

@@ -21,14 +21,14 @@
 //!
 //! The readiness protocol is clear-then-drain, the classic lost-wakeup
 //! shape: a producer pushes into its submission ring and *then* sets the
-//! slot's ready bit (release); a sweeper claims a whole word of ready
+//! slot's ready bit (release); a sweeper claims whole words of ready
 //! bits with `swap(0)` and then drains each claimed ring. A push that
 //! races the swap either lands before the drain (and is consumed) or
 //! re-sets the bit afterwards (and is seen by the next sweep); a drain
 //! cut short by its budget re-marks the slot itself. The bitmap is a
 //! hint, never an invariant — a set bit with an empty ring costs one
-//! wasted visit, a queued entry always has its bit set (or is already
-//! being drained).
+//! wasted visit, a queued entry always has its bit set (or is claimed
+//! by a sweeper).
 //!
 //! Like everything in this crate the type is kernel-agnostic: slots carry
 //! raw `u32` session ids, owner pids, *and tenant ids*, so the kernel
@@ -36,16 +36,15 @@
 //! and the QoS layer can schedule per tenant, without a dependency
 //! cycle either way.
 //!
-//! For QoS sweeps the one-shot [`RingSet::sweep_ready`] protocol splits
-//! into claim / plan / drain phases: [`RingSet::claim_ready`] claims
-//! whole bitmap words into the sweeping drainer's [`ClaimLedger`] (a
-//! crash-observable mirror of the bits the `swap(0)` moved into thread
-//! locals), a scheduler decides which claimed slots to drain, and
-//! [`RingSet::drain_claimed`] / [`RingSet::release_claimed`] finish or
-//! hand back each slot, clearing its ledger bit. If the drainer dies
-//! between claim and drain, the bits survive in the ledger and
-//! [`RingSet::reclaim`] moves them back onto the bitmap — that is the
-//! health monitor's no-entry-lost recovery path.
+//! There is one claim protocol. [`RingSet::claim_ready`] claims whole
+//! bitmap words into the sweeping drainer's [`ClaimLedger`], a
+//! crash-observable record of every bit it took off the bitmap. The
+//! sweeper (optionally after a scheduler picked which claimed slots to
+//! serve) finishes each slot with [`RingSet::drain_claimed`] or hands it
+//! back with [`RingSet::release_claimed`]; both clear its ledger bit. If
+//! the drainer dies between claim and drain, the bits survive in the
+//! ledger and [`RingSet::reclaim`] moves them back onto the bitmap —
+//! that is the health monitor's no-entry-lost recovery path.
 
 use crate::arena::{ArenaRegion, ArgArena};
 use crate::call::{RingPairConfig, SmodCallReq, SubmissionRing};
@@ -112,12 +111,12 @@ impl std::error::Error for SubmitError {}
 /// A per-drainer mirror of the ready bits the drainer has claimed but
 /// not yet drained or released.
 ///
-/// [`RingSet::sweep_ready`]'s `swap(0)` moves claimed bits into thread
-/// locals — a drainer that dies mid-sweep takes them to the grave. A
-/// QoS sweep instead records every claim here ([`RingSet::claim_ready`])
-/// and clears each slot's bit as the drain or release finishes, so the
-/// set of in-flight claims is observable from outside the drainer
-/// thread. When the health monitor declares the drainer dead,
+/// A bare `swap(0)` would move claimed bits into thread locals, and a
+/// drainer that died mid-sweep would take them to the grave. Every
+/// claim is instead recorded here ([`RingSet::claim_ready`]) and each
+/// slot's bit is cleared as its drain or release finishes, so the set
+/// of in-flight claims is observable from outside the drainer thread.
+/// When the health monitor declares the drainer dead,
 /// [`RingSet::reclaim`] ORs the surviving bits back onto the readiness
 /// bitmap and clears the stuck drain flags — no entry lost, and none
 /// duplicated, because submission entries are only ever popped during a
@@ -189,7 +188,7 @@ pub struct SessionRings {
     /// at a time, so a producer re-flagging the bit mid-drain cannot
     /// hand the *same* rings to a second sweeper — which would interleave
     /// completions (breaking per-session FIFO) and double-reserve the
-    /// completion ring's free space. Claimed by [`RingSet::sweep_ready`];
+    /// completion ring's free space. Taken by [`RingSet::drain_claimed`];
     /// a sweeper finding the slot busy hands the ready bit back instead.
     draining: AtomicBool,
     /// Monotonic source of per-session `user_data` cookies (see
@@ -427,9 +426,10 @@ impl RingSet {
     /// `true` re-marks the slot (completions left unreaped). Returns how
     /// many slots were visited.
     ///
-    /// Same word-at-a-time `swap(0)` claim as [`RingSet::sweep_ready`],
-    /// pointing the other way. There is no per-slot exclusivity flag on
-    /// this path: completion reaping is single-consumer by construction
+    /// Same word-at-a-time `swap(0)` claim as [`RingSet::claim_ready`],
+    /// pointing the other way and with no ledger. There is no per-slot
+    /// exclusivity flag on this path: completion reaping is
+    /// single-consumer by construction
     /// (each completion ring belongs to the one frontend that registered
     /// the slot), so the bitmap race is the only one to handle — a
     /// `mark_completed` racing the swap either lands before the reap (and
@@ -458,61 +458,9 @@ impl RingSet {
         visited
     }
 
-    /// Claim the current ready set and visit each claimed slot exactly
-    /// once: for every ready slot that is still registered, `visit(slot,
-    /// rings)` runs; returning `true` re-marks the slot (work left
-    /// behind, e.g. a budget cut the drain short). Returns how many slots
-    /// were visited.
-    ///
-    /// Claiming is a word-at-a-time `swap(0)`, so two concurrent sweeps
-    /// partition the ready set between them instead of convoying on the
-    /// same rings. On top of the bitmap, each slot carries a drain flag
-    /// giving **per-slot exclusivity**: a producer that re-flags a slot
-    /// while sweeper A is mid-drain cannot hand the same rings to
-    /// sweeper B — B finds the slot busy, returns the ready bit, and
-    /// moves on. One sweeper per slot at a time is what keeps
-    /// completions in per-session submission order and the
-    /// completion-ring space reservation single-counted.
-    pub fn sweep_ready(
-        &self,
-        mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
-    ) -> usize {
-        let mut visited = 0;
-        for (word_idx, word) in self.ready.iter().enumerate() {
-            let mut claimed = word.0.swap(0, Ordering::AcqRel);
-            while claimed != 0 {
-                let bit = claimed.trailing_zeros() as usize;
-                claimed &= claimed - 1;
-                let slot = RingSlotId(word_idx * 64 + bit);
-                let rings = match self.get(slot) {
-                    Some(r) => r,
-                    None => continue, // deregistered after flagging
-                };
-                if rings
-                    .draining
-                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // Another sweeper is mid-drain on these rings: hand
-                    // the bit back so whoever finishes (or the next
-                    // sweep) picks the work up.
-                    self.mark_ready(slot);
-                    continue;
-                }
-                visited += 1;
-                let remark = visit(slot, &rings);
-                rings.draining.store(false, Ordering::Release);
-                if remark {
-                    self.mark_ready(slot);
-                }
-            }
-        }
-        visited
-    }
-
-    /// A fresh [`ClaimLedger`] sized for this set's bitmap. Each QoS
-    /// drainer owns one; the plane supervisor holds a second reference
-    /// for crash recovery.
+    /// A fresh [`ClaimLedger`] sized for this set's bitmap. Each drainer
+    /// owns one; the plane supervisor holds a second reference for crash
+    /// recovery.
     pub fn claim_ledger(&self) -> ClaimLedger {
         ClaimLedger::new(self.ready.len())
     }
@@ -522,14 +470,16 @@ impl RingSet {
         self.get(slot).map(|r| r.tenant)
     }
 
-    /// Phase one of a QoS sweep: claim every ready word into `ledger`
-    /// and append the still-registered claimed slots (with their tenant
-    /// ids) to `out`. Returns how many slots were claimed.
+    /// Phase one of a sweep: claim every ready word into `ledger` and
+    /// append the still-registered claimed slots (with their tenant ids)
+    /// to `out`. Returns how many slots were claimed.
     ///
-    /// No drain exclusivity is taken here — that happens per slot in
-    /// [`RingSet::drain_claimed`] — so a scheduler can sit between claim
-    /// and drain without holding any ring busy. Every claimed bit is
-    /// recorded in the ledger *before* the caller learns about it;
+    /// Claiming is a word-at-a-time `swap(0)`, so two concurrent sweeps
+    /// partition the ready set between them instead of convoying on the
+    /// same rings. No drain exclusivity is taken here — that happens per
+    /// slot in [`RingSet::drain_claimed`] — so a scheduler can sit between
+    /// claim and drain without holding any ring busy. Every claimed bit
+    /// is recorded in the ledger *before* the caller learns about it;
     /// unresolved bits stay there until [`RingSet::drain_claimed`] /
     /// [`RingSet::release_claimed`] clear them, or [`RingSet::reclaim`]
     /// sweeps them back after the drainer died.
@@ -556,12 +506,17 @@ impl RingSet {
         claimed_slots
     }
 
-    /// Phase three of a QoS sweep: drain one claimed slot. Semantics
-    /// match one [`RingSet::sweep_ready`] visit — the drain flag gives
-    /// per-slot exclusivity (a busy slot hands its bit back instead),
-    /// and a visitor returning `true` re-marks the slot. The slot's
-    /// ledger bit is cleared however the drain resolves. Returns whether
-    /// the visitor ran.
+    /// Phase two of a sweep: drain one claimed slot. `visit(slot, rings)`
+    /// runs under the slot's drain flag, which gives **per-slot
+    /// exclusivity**: a producer that re-flags a slot while sweeper A is
+    /// mid-drain cannot hand the same rings to sweeper B — B finds the
+    /// slot busy, returns the ready bit, and moves on. One sweeper per
+    /// slot at a time keeps completions in per-session submission order
+    /// and the completion-ring space reservation single-counted. A
+    /// visitor returning `true` re-marks the slot (work left behind,
+    /// e.g. a budget cut the drain short). The slot's ledger bit is
+    /// cleared however the drain resolves. Returns whether the visitor
+    /// ran.
     pub fn drain_claimed(
         &self,
         slot: RingSlotId,
@@ -678,6 +633,24 @@ mod tests {
         }
     }
 
+    /// One claim-then-drain pass over every ready slot through `ledger`
+    /// (a kernel sweep with no scheduler). Returns how many slots the
+    /// visitor ran on; every claim is resolved on return.
+    fn sweep(
+        set: &RingSet,
+        ledger: &ClaimLedger,
+        mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,
+    ) -> usize {
+        let mut claimed = Vec::new();
+        set.claim_ready(ledger, &mut claimed);
+        let visited = claimed
+            .into_iter()
+            .filter(|&(slot, _)| set.drain_claimed(slot, ledger, &mut visit))
+            .count();
+        assert!(ledger.is_empty(), "a finished sweep leaves no claim behind");
+        visited
+    }
+
     #[test]
     fn capacity_rounds_to_whole_bitmap_words() {
         assert_eq!(RingSet::with_capacity(1).capacity(), 64);
@@ -699,7 +672,7 @@ mod tests {
         assert_eq!(set.ready_count(), 2);
 
         let mut seen = Vec::new();
-        let visited = set.sweep_ready(|slot, rings| {
+        let visited = sweep(&set, &set.claim_ledger(), |slot, rings| {
             while let Some(r) = rings.sq.pop() {
                 seen.push((slot, r.user_data));
             }
@@ -749,14 +722,15 @@ mod tests {
             set.submit(a, req(1, i)).unwrap();
         }
         // Visit with a budget of 2: the visitor reports leftover work.
-        let visited = set.sweep_ready(|_, rings| {
+        let ledger = set.claim_ledger();
+        let visited = sweep(&set, &ledger, |_, rings| {
             rings.sq.pop().unwrap();
             rings.sq.pop().unwrap();
             !rings.sq.is_empty()
         });
         assert_eq!(visited, 1);
         assert!(set.any_ready(), "short drain must re-flag the slot");
-        let visited = set.sweep_ready(|_, rings| {
+        let visited = sweep(&set, &ledger, |_, rings| {
             while rings.sq.pop().is_some() {}
             false
         });
@@ -849,7 +823,9 @@ mod tests {
         // A re-mark racing the deregistration leaves a stale bit; the
         // sweep must tolerate it.
         set.ready[0].0.fetch_or(1, Ordering::Release);
-        let visited = set.sweep_ready(|_, _| panic!("empty slot visited"));
+        let visited = sweep(&set, &set.claim_ledger(), |_, _| {
+            panic!("empty slot visited")
+        });
         assert_eq!(visited, 0);
     }
 
@@ -877,7 +853,7 @@ mod tests {
             let sweeper_a = {
                 let (set, in_visit, release) = (&set, &in_visit, &release);
                 s.spawn(move || {
-                    set.sweep_ready(|_, rings| {
+                    sweep(set, &set.claim_ledger(), |_, rings| {
                         rings.sq.pop().unwrap();
                         in_visit.store(true, Ordering::Release);
                         while !release.load(Ordering::Acquire) {
@@ -893,7 +869,9 @@ mod tests {
             // Producer races in new work mid-drain; sweeper B sees the
             // bit but must skip the busy slot and leave the bit set.
             set.submit(a, req(1, 1)).unwrap();
-            let visited_by_b = set.sweep_ready(|_, _| panic!("slot handed out twice"));
+            let visited_by_b = sweep(&set, &set.claim_ledger(), |_, _| {
+                panic!("slot handed out twice")
+            });
             assert_eq!(visited_by_b, 0);
             assert!(set.any_ready(), "B must hand the ready bit back");
             release.store(true, Ordering::Release);
@@ -901,7 +879,7 @@ mod tests {
         });
         // The slot is free again: the handed-back work is sweepable.
         let drained = std::cell::Cell::new(0);
-        set.sweep_ready(|_, rings| {
+        sweep(&set, &set.claim_ledger(), |_, rings| {
             while rings.sq.pop().is_some() {
                 drained.set(drained.get() + 1);
             }
@@ -927,7 +905,7 @@ mod tests {
         r.args = crate::ArgRef::place(&payload, rings.arena.as_ref());
         assert!(r.args.is_arena());
         set.submit(a, r).unwrap();
-        set.sweep_ready(|_, rings| {
+        sweep(&set, &set.claim_ledger(), |_, rings| {
             let got = rings.sq.pop().unwrap();
             assert_eq!(got.args.as_slice(), payload.as_slice());
             false
@@ -991,7 +969,7 @@ mod tests {
         set.release_claimed(b, &ledger);
         assert!(ledger.is_empty(), "both claims resolved");
         assert_eq!(set.ready_count(), 1, "released slot is ready again");
-        set.sweep_ready(|slot, rings| {
+        sweep(&set, &ledger, |slot, rings| {
             assert_eq!(slot, b);
             assert_eq!(rings.sq.pop().unwrap().user_data, 20);
             false
@@ -1038,14 +1016,18 @@ mod tests {
         // Even a forced re-mark cannot reach the rings: the dead
         // drainer's drain flags still exclude everyone.
         set.mark_all_ready();
-        assert_eq!(set.sweep_ready(|_, _| panic!("stranded slot drained")), 0);
+        let live = set.claim_ledger();
+        assert_eq!(
+            sweep(&set, &live, |_, _| panic!("stranded slot drained")),
+            0
+        );
 
         // Supervisor verdict: reclaim, then a normal sweep finds every
         // entry exactly once.
         assert_eq!(set.reclaim(&ledger), 3);
         assert!(ledger.is_empty());
         let mut seen = Vec::new();
-        set.sweep_ready(|slot, rings| {
+        sweep(&set, &live, |slot, rings| {
             while let Some(r) = rings.sq.pop() {
                 seen.push((slot, r.user_data));
             }
@@ -1091,9 +1073,10 @@ mod tests {
                 let set = Arc::clone(&set);
                 let received = Arc::clone(&received);
                 s.spawn(move || {
+                    let ledger = set.claim_ledger();
                     while received.load(Ordering::Acquire) < PRODUCERS * PER_PRODUCER as usize {
                         let mut got = 0;
-                        set.sweep_ready(|_, rings| {
+                        sweep(&set, &ledger, |_, rings| {
                             while rings.sq.pop().is_some() {
                                 got += 1;
                             }
