@@ -36,8 +36,8 @@
 
 use crate::cache::mix64;
 use crate::scenario::{
-    build_dispatch_kernel, build_dispatch_kernel_with_clients, latency_of, DispatchKernel,
-    ScenarioConfig, ScenarioReport, WorkerStats,
+    build_dispatch_kernel, build_dispatch_kernel_with_clients, latency_of, layered_cache_stats,
+    DispatchKernel, ScenarioConfig, ScenarioReport, WorkerStats,
 };
 use crossbeam::channel;
 use rand::rngs::SmallRng;
@@ -141,8 +141,8 @@ fn drive_round_robin(
     }
 }
 
-/// Assemble the report every runner here shares: embedded-gateway cache
-/// stats, the kernel's invalidation epoch, and plane-flavor latency.
+/// Assemble the report every runner here shares: the tier-blind gate
+/// cache view, the kernel's invalidation epoch, and plane-flavor latency.
 fn finish_report(
     cfg: &ScenarioConfig,
     kernel: &Kernel,
@@ -151,12 +151,7 @@ fn finish_report(
     allows: u64,
     denies: u64,
 ) -> ScenarioReport {
-    let cache = kernel
-        .registry
-        .get(module)
-        .expect("module registered")
-        .gateway
-        .cache_stats();
+    let cache = layered_cache_stats(kernel, module);
     let total_ops = cfg.total_ops();
     ScenarioReport {
         kind: cfg.kind,
@@ -572,6 +567,20 @@ mod tests {
                 (report.allows, report.denies),
                 (base.allows, base.denies),
                 "{kind:?} diverged from the plane split"
+            );
+        }
+    }
+
+    /// Kernel-backed rows report the tier-blind gate counters: nearly
+    /// every decision is an L0 hit, which the sharded tier never sees.
+    #[test]
+    fn kernel_backed_hit_rate_counts_l0_hits() {
+        for kind in [ScenarioKind::DrainerCrash, ScenarioKind::MultiTenant] {
+            let report = run_scenario(&ScenarioConfig::builder(kind).quick().seed(5).build());
+            assert!(
+                report.hit_rate() > 0.9,
+                "{kind:?} hit rate {:.3}",
+                report.hit_rate()
             );
         }
     }

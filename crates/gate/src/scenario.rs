@@ -1195,7 +1195,7 @@ pub(crate) fn latency_of(kernel: &Kernel, flavor: Flavor) -> Option<LatencySumma
 /// counters do (L0 and sharded hits both count as hits, exactly as they
 /// are billed). Occupancy, insertions and evictions still come from the
 /// sharded tier, which is the only tier with resident state to report.
-fn layered_cache_stats(kernel: &Kernel, module: ModuleId) -> CacheStats {
+pub(crate) fn layered_cache_stats(kernel: &Kernel, module: ModuleId) -> CacheStats {
     let mut stats = kernel
         .registry
         .get(module)
@@ -1422,7 +1422,9 @@ pub struct ScenarioReport {
     pub denies: u64,
     /// Epoch bumps folded in by the churn actor (0 for other scenarios).
     pub epoch_bumps: u64,
-    /// Decision-cache counters for the run.
+    /// Decision-cache counters for the run. For kernel-backed kinds the
+    /// hits/misses are the kernel's tier-blind gate counters (L0 and
+    /// sharded hits alike); occupancy and evictions are the sharded tier's.
     pub cache: CacheStats,
     /// Simulated per-call latency quantiles for the dispatch flavor the
     /// scenario drives (`None` for gateway-only scenarios, which never

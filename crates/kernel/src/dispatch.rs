@@ -22,11 +22,18 @@
 //! function, torn-down session), transient backpressure
 //! ([`DispatchError::Backpressure`] — retry after completions drain), and
 //! permanent teardown ([`DispatchError::Detached`] — stop retrying).
+//!
+//! The `Kernel` flavor's `dispatch_one` is `sys_smod_call` without the
+//! wrapper: it resolves the caller's session once and runs the call
+//! against it with the caller's borrowed argument bytes
+//! (`Kernel::smod_call_on`, the same function `sys_smod_call` ends in),
+//! so it builds no `SmodCallArgs`, copies no arguments and does not look
+//! the session up a second time. Checks, counters and simulated cost are
+//! those of `sys_smod_call`.
 
 use crate::errno::Errno;
 use crate::kernel::Kernel;
 use crate::proc::Pid;
-use crate::smod::SmodCallArgs;
 use secmod_obs::DispatchMetrics;
 use secmod_ring::{RingPairConfig, SmodCallReq, SmodCallResp};
 
@@ -162,17 +169,8 @@ impl Dispatcher for Kernel {
     /// `sys_smod_call`: one trap per call, the paper's headline row.
     fn dispatch_one(&self, client: Pid, proc_id: u32, args: &[u8]) -> DispatchOutcome {
         let session = self.session_of(client).ok_or(Errno::EPERM)?;
-        self.sys_smod_call(
-            client,
-            SmodCallArgs {
-                m_id: session.module,
-                func_id: proc_id,
-                frame_pointer: 0,
-                return_address: 0,
-                args: args.to_vec(),
-            },
-        )
-        .map_err(DispatchError::from)
+        self.smod_call_on(client, &session, session.module, proc_id, args)
+            .map_err(DispatchError::from)
     }
 
     /// `sys_smod_call_batch` over a throwaway ring pair: one trap for
@@ -227,44 +225,96 @@ impl Dispatcher for Kernel {
 mod tests {
     use super::*;
     use crate::batch::tests::kernel_with_clients;
+    use crate::cred::Credential;
     use crate::plane::{DispatchPlane, PlaneConfig};
+    use crate::smod::tests::{call, establish, func_id, kernel_with_policy, spawn_alice};
+    use secmod_obs::Flavor;
     use std::sync::Arc;
+
+    /// Everything one call on `client`'s session can move, read off `k`:
+    /// gate hits, gate misses, Syscall latency count and sum, session
+    /// calls, module calls, context switches, the clock and the client's
+    /// CPU time.
+    fn call_footprint(k: &Kernel, client: Pid) -> [u64; 9] {
+        let latency = k.metrics.latency(Flavor::Syscall);
+        let session = k.session_of(client).unwrap();
+        [
+            k.metrics.gate_hits.get(),
+            k.metrics.gate_misses.get(),
+            latency.count(),
+            latency.sum(),
+            session.calls(),
+            session.module_ref().calls_dispatched(),
+            k.context_switches(),
+            k.clock.now_ns(),
+            k.procs.with(client, |p| p.cpu_time_ns).unwrap(),
+        ]
+    }
 
     #[test]
     fn kernel_dispatch_one_matches_sys_smod_call() {
-        let (k, m, clients, incr) = kernel_with_clients(1);
-        let client = clients[0];
-        let via_trait = k.dispatch_one(client, incr, &7u64.to_le_bytes()).unwrap();
-        let via_syscall = k
-            .sys_smod_call(
-                client,
-                SmodCallArgs {
-                    m_id: m,
-                    func_id: incr,
-                    frame_pointer: 0,
-                    return_address: 0,
-                    args: 7u64.to_le_bytes().to_vec(),
-                },
-            )
-            .unwrap();
-        assert_eq!(via_trait, via_syscall);
-        // Unknown function: the errno comes through the unified type.
-        assert_eq!(
-            k.dispatch_one(client, u32::MAX, &[]),
-            Err(DispatchError::Errno(Errno::ENOENT))
-        );
+        // Twin kernels: `a` is driven through `sys_smod_call`, `b` through
+        // `dispatch_one`. Same setup order, so same pids. Alice may call
+        // everything but `memcpy`; only `testincr`, `getpid` and `strlen`
+        // have bodies.
+        let twin = || {
+            let (k, m_id) = kernel_with_policy("function != \"memcpy\"");
+            let client = spawn_alice(&k);
+            establish(&k, client, m_id);
+            let pending = spawn_alice(&k);
+            k.sys_smod_start_session(pending, m_id).unwrap();
+            (k, m_id, client, pending)
+        };
+        let (a, m_id, client, pending) = twin();
+        let (b, ..) = twin();
+        let step = |what: &str, who: Pid, func: u32, want: Result<Vec<u8>, Errno>| {
+            let (before_a, before_b) = (call_footprint(&a, who), call_footprint(&b, who));
+            let via_syscall = call(&a, who, m_id, func, 41u64.to_le_bytes().to_vec());
+            let via_dispatch = b.dispatch_one(who, func, &41u64.to_le_bytes());
+            assert_eq!(via_syscall, want, "{what}: sys_smod_call");
+            assert_eq!(
+                via_dispatch,
+                want.clone().map_err(DispatchError::Errno),
+                "{what}: dispatch_one"
+            );
+            let moved = |k: &Kernel, before: [u64; 9]| {
+                let after = call_footprint(k, who);
+                std::array::from_fn::<u64, 9, _>(|i| after[i] - before[i])
+            };
+            let (moved_a, moved_b) = (moved(&a, before_a), moved(&b, before_b));
+            assert_eq!(moved_a, moved_b, "{what}: counters moved differently");
+            // The counters really move: a decided call counts one gate
+            // verdict, a dispatched one also a session call.
+            let decided = matches!(want, Ok(_) | Err(Errno::EACCES) | Err(Errno::ENOSYS));
+            assert_eq!(moved_a[0] + moved_a[1], decided as u64, "{what}: gate");
+            assert_eq!(moved_a[4], want.is_ok() as u64, "{what}: session calls");
+        };
+
+        let incr = func_id(&a, m_id, "testincr");
+        let answer = Ok(42u64.to_le_bytes().to_vec());
+        step("allowed, first call", client, incr, answer.clone());
+        step("allowed, cached", client, incr, answer);
+        let memcpy = func_id(&a, m_id, "memcpy");
+        step("policy-denied", client, memcpy, Err(Errno::EACCES));
+        step("policy-denied, cached", client, memcpy, Err(Errno::EACCES));
+        step("unknown func_id", client, u32::MAX, Err(Errno::ENOENT));
+        let malloc = func_id(&a, m_id, "malloc");
+        step("stub with no body", client, malloc, Err(Errno::ENOSYS));
+        step("not established", pending, incr, Err(Errno::EINVAL));
+        // A credential revoked mid-session takes the slow path on both.
+        for k in [&a, &b] {
+            k.procs
+                .with_mut(client, |p| p.cred = Credential::user(1000, 100))
+                .unwrap();
+        }
+        step("credential revoked", client, incr, Err(Errno::EACCES));
+
         // No session at all.
-        let loner = k
-            .spawn_process(
-                "loner",
-                crate::cred::Credential::user(9, 9),
-                vec![0x90; 4096],
-                2,
-                2,
-            )
+        let loner = b
+            .spawn_process("loner", Credential::user(9, 9), vec![0x90; 4096], 2, 2)
             .unwrap();
         assert_eq!(
-            k.dispatch_one(loner, incr, &[]),
+            b.dispatch_one(loner, incr, &[]),
             Err(DispatchError::Errno(Errno::EPERM))
         );
     }

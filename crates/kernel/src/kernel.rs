@@ -251,12 +251,16 @@ impl Kernel {
     pub fn sys_exit(&self, pid: Pid, status: i32) -> SysResult<()> {
         let trap = self.cost.syscall_trap_ns;
         self.charge(pid, trap);
-        // Detach any smod session first (kills the handle).
+        // Detach any smod session first (kills and reaps the handle).
         if self.procs.with(pid, |p| p.smod.is_some())? {
             self.smod_detach(pid, "client exit")?;
         }
-        self.procs
-            .with_mut(pid, |p| p.state = ProcState::Zombie(status))
+        // No error if `pid` is gone: an exiting handle is reaped by the
+        // detach above.
+        let _ = self
+            .procs
+            .with_mut(pid, |p| p.state = ProcState::Zombie(status));
+        Ok(())
     }
 
     /// `wait()`: reap a zombie child.  Handle processes are invisible to
@@ -328,12 +332,14 @@ impl Kernel {
     /// Simulate a crash of `pid` (e.g. SIGSEGV).  Returns whether a core
     /// image was produced; for smod pair members it never is.
     pub fn crash_process(&self, pid: Pid) -> SysResult<bool> {
-        // Tear down any session (also protects the module text mapped in a
-        // crashing handle).
-        if self.procs.with(pid, |p| p.smod.is_some())? {
-            self.smod_detach_either(pid, "crash")?;
+        // Crash first, then tear down any session (which also reaps a
+        // crashed handle, and with it the module text mapped there).
+        let (dumped, linked) = self
+            .procs
+            .with_mut(pid, |p| (p.crash(11), p.smod.is_some()))?;
+        if linked {
+            self.smod_detach(pid, "crash")?;
         }
-        let dumped = self.procs.with_mut(pid, |p| p.crash(11))?;
         if !dumped {
             self.tracer.record(Event::CoreDumpSuppressed { pid });
         }

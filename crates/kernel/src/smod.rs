@@ -113,9 +113,11 @@ impl CallProto {
 /// table and in-flight dispatches; the handshake state and call counter
 /// are atomics so the dispatch path never takes a session lock. The
 /// session also pins the registered module and both processes' lock
-/// handles, so a dispatch resolves everything it needs with a single
-/// sharded map lookup (the caller's link) plus one session lookup — no
-/// registry traffic on the hot path.
+/// handles. A dispatch resolves it once (the caller's link, then one
+/// session lookup) and then needs no map at all: the live-credential
+/// compare and the body's pair lock go through the pinned handles, and
+/// the gateway and bodies through the pinned module — no process-table
+/// or registry traffic after the lookup.
 #[derive(Debug)]
 pub struct Session {
     /// The session id.
@@ -664,9 +666,28 @@ impl Kernel {
     /// calls on different sessions only share read locks and the module's
     /// sharded decision cache.
     pub fn sys_smod_call(&self, caller: Pid, call: SmodCallArgs) -> SysResult<Vec<u8>> {
-        // --- validation -------------------------------------------------
         let link = self.procs.with(caller, |p| p.smod)?.ok_or(Errno::EPERM)?;
         let session = self.sessions.get(link.session).ok_or(Errno::EPERM)?;
+        self.smod_call_on(caller, &session, call.m_id, call.func_id, &call.args)
+    }
+
+    /// Everything `sys_smod_call` does after resolving the caller's
+    /// session: validation, the per-call credential/policy check, the
+    /// body in the handle, and the bookkeeping. [`Kernel::dispatch_one`]
+    /// (the `Dispatcher` impl) enters here with the session it already
+    /// resolved and the caller's borrowed argument bytes, so one trap
+    /// costs one caller → session lookup and no argument copy.
+    ///
+    /// [`Kernel::dispatch_one`]: crate::dispatch::Dispatcher::dispatch_one
+    pub(crate) fn smod_call_on(
+        &self,
+        caller: Pid,
+        session: &Session,
+        m_id: ModuleId,
+        func_id: u32,
+        args: &[u8],
+    ) -> SysResult<Vec<u8>> {
+        // --- validation -------------------------------------------------
         // Only the client process bound to the session may call through it —
         // this is the "handle must be valid only for a specific process"
         // requirement (question 2 in §1).
@@ -676,7 +697,7 @@ impl Kernel {
         if session.state() != SessionState::Established {
             return Err(Errno::EINVAL);
         }
-        if call.m_id != session.module {
+        if m_id != session.module {
             return Err(Errno::EACCES);
         }
 
@@ -690,32 +711,37 @@ impl Kernel {
         let stub = module
             .package
             .stub_table
-            .by_id(call.func_id)
+            .by_id(func_id)
             .ok_or(Errno::ENOENT)?;
-        // The live credential is consulted on every call, but only to
-        // compare `(uid, principal fingerprint)` against the session's
-        // memoised prototype — the request itself is assembled by
-        // *borrowing* from the prototype, so the hot path does no
-        // client-name/principal clones. A mismatch (credential revoked or
-        // swapped mid-session) takes the slow path: re-derive the request
-        // from the live credential, exactly as the un-memoised path did.
+        // The live credential is consulted on every call, through the
+        // session's pinned client handle (the same lock the process table
+        // holds; pids are never reused), but only to compare `(uid,
+        // principal fingerprint)` against the session's memoised
+        // prototype — the request itself is assembled by *borrowing* from
+        // the prototype, so the hot path does no client-name/principal
+        // clones. A mismatch (credential revoked or swapped mid-session)
+        // takes the slow path: re-derive the request from the live
+        // credential, exactly as the un-memoised path did.
         module.gateway.observe_kernel_epoch(self.smod_epoch());
         let proto = &session.proto;
         let module_name = &module.package.image.name;
-        let cred_matches = self
-            .procs
-            .with(session.client, |p| proto.matches(&p.cred, module_name))?;
-        let (allowed, tier) = if cred_matches {
-            module.check_session_call(proto, call.func_id, &stub.symbol)
-        } else {
-            let (client_name, principal, uid) = self.procs.with(session.client, |p| {
-                (
-                    p.name.clone(),
-                    p.cred.principal_for(module_name),
-                    p.cred.uid,
-                )
-            })?;
-            module.check_operation(&client_name, principal.as_ref(), uid, &stub.symbol)
+        let live = {
+            let client = session.client_ref.lock();
+            if proto.matches(&client.cred, module_name) {
+                None
+            } else {
+                Some((
+                    client.name.clone(),
+                    client.cred.principal_for(module_name),
+                    client.cred.uid,
+                ))
+            }
+        };
+        let (allowed, tier) = match live {
+            None => module.check_session_call(proto, func_id, &stub.symbol),
+            Some((client_name, principal, uid)) => {
+                module.check_operation(&client_name, principal.as_ref(), uid, &stub.symbol)
+            }
         };
 
         // The single-call path traps per call anyway, so per-call counter
@@ -733,19 +759,21 @@ impl Kernel {
         } else {
             self.cost.policy_per_node_ns * module.policy_complexity as u64
         };
-        let overhead = self.cost.smod_call_overhead(call.args.len()) + policy_cost;
+        let overhead = self.cost.smod_call_overhead(args.len()) + policy_cost;
         self.context_switch_n(caller, 2);
 
         if self.tracer.enabled() {
             self.tracer.record(Event::SmodCall {
                 session: session.id,
-                func_id: call.func_id,
+                func_id,
                 symbol: stub.symbol.clone(),
                 allowed,
             });
         }
         if !allowed {
-            self.charge(caller, overhead);
+            // What `charge` does, through the pinned client handle.
+            self.clock.advance_striped(caller.0 as u64, overhead);
+            session.client_ref.lock().cpu_time_ns += overhead;
             self.metrics.record_latency(Flavor::Syscall, overhead);
             return Err(Errno::EACCES);
         }
@@ -755,7 +783,7 @@ impl Kernel {
         // locked (pid-ordered) without touching the process map; the
         // caller's overhead and the handle's extra time are charged under
         // the locks already held.
-        let body = module.stub_body(call.func_id).ok_or(Errno::ENOSYS)?;
+        let body = module.stub_body(func_id).ok_or(Errno::ENOSYS)?;
         let (result, extra_ns) = session.with_pair(|handle_proc, client_proc| {
             client_proc.cpu_time_ns += overhead;
             let mut ctx = HandleCtx {
@@ -764,7 +792,7 @@ impl Kernel {
                 client_pid: session.client,
                 extra_ns: 0,
             };
-            let result = body(&mut ctx, &call.args);
+            let result = body(&mut ctx, args);
             handle_proc.cpu_time_ns += ctx.extra_ns;
             (result, ctx.extra_ns)
         })?;
@@ -783,19 +811,23 @@ impl Kernel {
     // Session teardown and the special functions of §4.3
     // ----------------------------------------------------------------
 
-    /// Detach the SecModule session of a *client* process: kill the handle,
-    /// remove the queues and the session, clear the flags.
+    /// Detach the SecModule session of a process (either member of the
+    /// pair): kill and reap the handle, remove the queues and the session,
+    /// clear the client's flags.
     pub fn smod_detach(&self, client: Pid, reason: &str) -> SysResult<()> {
         let link = self.procs.with(client, |p| p.smod)?.ok_or(Errno::EINVAL)?;
         let session = self.sessions.remove(link.session).ok_or(Errno::EINVAL)?;
 
-        // Kill the handle.
+        // Kill the handle, then reap it: `sys_wait` never sees handles
+        // (§4.3), so nothing else would remove the dead process. A
+        // dispatch still holding the session keeps its pinned lock handle.
         let _ = self.procs.with_mut(session.handle, |h| {
             h.state = ProcState::Zombie(0);
             h.smod = None;
         });
+        self.procs.remove(session.handle);
         // Clear the client.
-        let _ = self.procs.with_mut(client, |c| {
+        let _ = self.procs.with_mut(session.client, |c| {
             c.smod = None;
             c.flags.smod_client = false;
         });
@@ -807,17 +839,6 @@ impl Kernel {
             reason: reason.to_string(),
         });
         Ok(())
-    }
-
-    /// Detach a session given *either* member of the pair.
-    pub fn smod_detach_either(&self, pid: Pid, reason: &str) -> SysResult<()> {
-        let link = self.procs.with(pid, |p| p.smod)?.ok_or(Errno::EINVAL)?;
-        let client = if self.procs.with(pid, |p| p.flags.smod_handle)? {
-            link.peer
-        } else {
-            pid
-        };
-        self.smod_detach(client, reason)
     }
 
     /// The paper's `fork()` special handling (§4.3): "the ideal action is to
@@ -844,7 +865,7 @@ impl Kernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::cred::Credential;
@@ -859,6 +880,12 @@ mod tests {
     /// Build and register the paper's libc-like module with an
     /// "alice is always allowed" policy, returning (kernel, module id).
     fn kernel_with_module() -> (Kernel, ModuleId) {
+        kernel_with_policy("")
+    }
+
+    /// [`kernel_with_module`] with alice allowed only under `conditions`.
+    /// Bodies exist for `testincr`, `getpid` and `strlen` only.
+    pub(crate) fn kernel_with_policy(conditions: &str) -> (Kernel, ModuleId) {
         let k = Kernel::new(CostModel::default());
         let registrar = k
             .spawn_process("registrar", Credential::root(), vec![0x90; 4096], 2, 2)
@@ -873,7 +900,7 @@ mod tests {
         let mut policy = PolicyEngine::new();
         let alice = Principal::from_key("uid1000", ALICE_KEY);
         policy
-            .add_assertion(Assertion::policy(LicenseeExpr::Single(alice), "").unwrap())
+            .add_assertion(Assertion::policy(LicenseeExpr::Single(alice), conditions).unwrap())
             .unwrap();
 
         let stub_table = StubTable::generate(&image);
@@ -921,7 +948,7 @@ mod tests {
         (k, m_id)
     }
 
-    fn spawn_alice(k: &Kernel) -> Pid {
+    pub(crate) fn spawn_alice(k: &Kernel) -> Pid {
         k.spawn_process(
             "client",
             Credential::user(1000, 100).with_smod_credential("libc", ALICE_KEY),
@@ -932,7 +959,7 @@ mod tests {
         .unwrap()
     }
 
-    fn establish(k: &Kernel, client: Pid, m_id: ModuleId) -> (SessionId, Pid) {
+    pub(crate) fn establish(k: &Kernel, client: Pid, m_id: ModuleId) -> (SessionId, Pid) {
         let (session, handle) = k.sys_smod_start_session(client, m_id).unwrap();
         k.sys_smod_session_info(handle).unwrap();
         k.sys_smod_handle_info(client).unwrap();
@@ -940,17 +967,10 @@ mod tests {
     }
 
     fn testincr_id(k: &Kernel, m_id: ModuleId) -> u32 {
-        k.registry
-            .get(m_id)
-            .unwrap()
-            .package
-            .stub_table
-            .by_name("testincr")
-            .unwrap()
-            .func_id
+        func_id(k, m_id, "testincr")
     }
 
-    fn call(
+    pub(crate) fn call(
         k: &Kernel,
         client: Pid,
         m_id: ModuleId,
@@ -967,6 +987,39 @@ mod tests {
                 args,
             },
         )
+    }
+
+    pub(crate) fn func_id(k: &Kernel, m_id: ModuleId, name: &str) -> u32 {
+        k.registry
+            .get(m_id)
+            .unwrap()
+            .package
+            .stub_table
+            .by_name(name)
+            .unwrap()
+            .func_id
+    }
+
+    #[test]
+    fn session_cycles_do_not_grow_the_process_table() {
+        let (k, m_id) = kernel_with_module();
+        let client = spawn_alice(&k);
+        let before = k.procs.len();
+        for _ in 0..16 {
+            let (_, handle) = establish(&k, client, m_id);
+            assert_eq!(k.procs.len(), before + 1);
+            k.smod_detach(client, "cycle").unwrap();
+            assert!(!k.procs.exists(handle), "detach must reap the handle");
+        }
+        assert_eq!(k.procs.len(), before);
+        // A crashed or exiting handle is reaped with its session, and the
+        // client is unlinked so it can start over.
+        let (_, handle) = establish(&k, client, m_id);
+        assert!(!k.crash_process(handle).unwrap());
+        let (_, handle) = establish(&k, client, m_id);
+        k.sys_exit(handle, 0).unwrap();
+        assert!(k.session_of(client).is_none());
+        assert_eq!(k.procs.len(), before);
     }
 
     #[test]
@@ -1237,7 +1290,8 @@ mod tests {
         let client = spawn_alice(&k);
         let (_, handle) = establish(&k, client, m_id);
         k.sys_exit(client, 0).unwrap();
-        assert!(!k.procs.with(handle, |p| p.is_alive()).unwrap());
+        // The dead handle is reaped, not left behind as a zombie.
+        assert!(!k.procs.exists(handle));
         assert!(k.sessions.is_empty());
         assert!(k
             .tracer
@@ -1252,7 +1306,8 @@ mod tests {
         let client = spawn_alice(&k);
         let (_, handle) = establish(&k, client, m_id);
         k.sys_execve(client, "newprog", vec![0xCC; 4096]).unwrap();
-        assert!(!k.procs.with(handle, |p| p.is_alive()).unwrap());
+        // The dead handle is reaped, not left behind as a zombie.
+        assert!(!k.procs.exists(handle));
         assert!(k.sessions.is_empty());
         // The new image can set up a new session (its crt0 would do this).
         let (session2, handle2) = k.sys_smod_start_session(client, m_id).unwrap();

@@ -117,6 +117,13 @@ fn credentials_are_checked_on_every_call_not_just_session_start() {
         .unwrap();
     let err = world.call(client, "noop", &[]).unwrap_err();
     assert!(matches!(err, secmod_core::SmodError::Kernel(Errno::EACCES)));
+    // The unified dispatcher reads the live credential through the
+    // session's pinned client, so it sees the stripped credential too.
+    let noop = world.func_id(client, "noop").unwrap();
+    assert_eq!(
+        secmod_kernel::Dispatcher::dispatch_one(&world.kernel, client, noop, &[]),
+        Err(secmod_kernel::DispatchError::Errno(Errno::EACCES))
+    );
     // The denied call is visible in the audit trail.
     assert!(world
         .kernel
@@ -167,7 +174,8 @@ fn execve_detaches_the_session_and_kills_the_handle() {
         .kernel
         .sys_execve(client, "fresh-image", vec![0xCC; 4096])
         .unwrap();
-    assert!(!world.kernel.procs.with(handle, |p| p.is_alive()).unwrap());
+    // The dead handle is reaped, not left behind as a zombie.
+    assert!(!world.kernel.procs.exists(handle));
     assert!(world.kernel.sessions.is_empty());
     assert!(world
         .kernel
