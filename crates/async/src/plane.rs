@@ -2,30 +2,33 @@
 //! [`DispatchPlane`][secmod_kernel::plane::DispatchPlane].
 //!
 //! The plane's drainer threads already sweep the ring set and post
-//! completions; what the async frontend adds is a **reactor** — one
-//! thread that parks on the plane's completion notification, claims the
+//! completions; what the async frontend adds is the **routing**: a
+//! completion hook that, on the drainer that just posted, claims the
 //! ring set's *completion* bitmap (the mirror image of the readiness
-//! bitmap the drainers claim), and routes every posted response to the
+//! bitmap the drainers claim) and routes every posted response to the
 //! waker parked under its `user_data` cookie. The division of labor:
 //!
 //! ```text
 //!   task: session.call(..).await
 //!     │ push sq, mark_ready, park waker in SlotTable
 //!     ▼
-//!   drainer threads ──sweep──▶ kernel ──post cq──▶ mark_completed
-//!     │                                               │ notify
-//!     ▼                                               ▼
-//!   (next session)                    reactor: sweep_completed
-//!                                       → route resp to waker
-//!                                       → executor re-polls task
+//!   drainer thread ──sweep──▶ kernel ──post cq──▶ mark_completed
+//!     │
+//!     ▼
+//!   same drainer: sweep_completed → route resp to waker
+//!     │                               → executor re-polls task
+//!     ▼
+//!   (next sweep)
 //! ```
 //!
-//! Nobody busy-spins: tasks suspend (a parked waker costs a table entry,
-//! not a thread), drainers park on the readiness protocol from PR 5, and
-//! the reactor parks on the completion hook with a millisecond backstop.
-//! That is how 100k+ logical clients ride on a handful of OS threads —
-//! the paper's fixed-cost-per-dispatch story measured at a concurrency
-//! the original syscall frontend cannot even express.
+//! No thread sits between the drainer and the task: a completion costs
+//! no extra hand-off, and several drainers routing at once is safe
+//! because the completion ring pops are multi-consumer (see
+//! `route`). Nobody busy-spins either: tasks suspend (a parked waker
+//! costs a table entry, not a thread) and drainers park on the readiness
+//! protocol. That is how 100k+ logical clients ride on a handful of OS
+//! threads — the paper's fixed-cost-per-dispatch story measured at a
+//! concurrency the original syscall frontend cannot even express.
 
 use crate::exec::{block_on, join_all};
 use crate::route::{route_completions, SlotTable, TableMap};
@@ -40,41 +43,18 @@ use secmod_kernel::{Kernel, SysResult};
 use secmod_obs::DispatchMetrics;
 use secmod_ring::RingSet;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// How long the reactor sleeps when no completion notification arrives —
-/// a liveness backstop only; the hook is the real wake path.
-const REACTOR_BACKSTOP: Duration = Duration::from_millis(1);
-
-/// The reactor's parking spot: completion hooks flip `notified`, the
-/// reactor consumes it. `std::sync` because the vendored parking_lot shim
-/// has no `Condvar`.
-struct ReactorSignal {
-    notified: StdMutex<bool>,
-    available: Condvar,
-    stop: AtomicBool,
-}
-
-impl ReactorSignal {
-    fn notify(&self) {
-        *self.notified.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.available.notify_one();
-    }
-}
-
-/// The async dispatch frontend: a [`DispatchPlane`] plus the reactor
-/// thread that turns its completions into task wake-ups.
+/// The async dispatch frontend: a [`DispatchPlane`] whose completion
+/// hook turns posted completions into task wake-ups.
 pub struct AsyncPlane {
     /// `None` only after [`AsyncPlane::shutdown`] has taken it.
     plane: Option<DispatchPlane>,
     set: Arc<RingSet>,
     tables: Arc<TableMap>,
-    signal: Arc<ReactorSignal>,
-    reactor: Option<std::thread::JoinHandle<()>>,
     routed: Arc<AtomicU64>,
-    /// The kernel's dispatch-metrics registry: the reactor records each
+    /// The kernel's dispatch-metrics registry: the router records each
     /// routed completion's cost under the async flavor, and sessions
     /// count their backpressure re-submits here.
     metrics: Arc<DispatchMetrics>,
@@ -93,41 +73,32 @@ impl std::fmt::Debug for AsyncPlane {
 }
 
 impl AsyncPlane {
-    /// Start the underlying plane and the reactor thread.
+    /// Start the underlying plane and hook completion routing onto it.
     pub fn start(kernel: Arc<Kernel>, cfg: PlaneConfig) -> SysResult<AsyncPlane> {
         let metrics = Arc::clone(&kernel.metrics);
         let plane = DispatchPlane::start(kernel, cfg)?;
         let set = plane.ring_set();
         let tables: Arc<TableMap> = Arc::new(Mutex::new(HashMap::new()));
-        let signal = Arc::new(ReactorSignal {
-            notified: StdMutex::new(false),
-            available: Condvar::new(),
-            stop: AtomicBool::new(false),
-        });
         let routed = Arc::new(AtomicU64::new(0));
-        let reactor = {
+        // The hook runs on whichever drainer just posted completions,
+        // and once more on the thread shutting the plane down, after the
+        // drainers are joined.
+        {
             let set = Arc::clone(&set);
             let tables = Arc::clone(&tables);
-            let signal = Arc::clone(&signal);
             let routed = Arc::clone(&routed);
             let metrics = Arc::clone(&metrics);
-            std::thread::Builder::new()
-                .name("smod-reactor".into())
-                .spawn(move || reactor_loop(&set, &tables, &signal, &routed, &metrics))
-                .expect("spawn reactor thread")
-        };
-        // The hook fires from whichever drainer just posted completions
-        // (and once more at plane shutdown).
-        {
-            let signal = Arc::clone(&signal);
-            plane.on_completions(Arc::new(move || signal.notify()));
+            plane.on_completions(Arc::new(move || {
+                let n = route_completions(&set, &tables, Some(&metrics));
+                if n > 0 {
+                    routed.fetch_add(n as u64, Ordering::Relaxed);
+                }
+            }));
         }
         Ok(AsyncPlane {
             plane: Some(plane),
             set,
             tables,
-            signal,
-            reactor: Some(reactor),
             routed,
             metrics,
             sessions: Mutex::new(HashMap::new()),
@@ -195,21 +166,19 @@ impl AsyncPlane {
     }
 
     /// Stop everything, in dependency order: drainers first (every
-    /// accepted submission is swept through and posted), then the
-    /// reactor (a final routing pass delivers those responses), then the
-    /// tables detach (anything still parked resolves `Detached`).
+    /// accepted submission is swept through and posted), then a final
+    /// routing pass on this thread (the plane's last completion
+    /// notification delivers those responses), then the tables detach
+    /// (anything still parked resolves `Detached`).
     pub fn shutdown(mut self) -> PlaneStats {
         self.stop_parts().expect("shutdown consumes a live plane")
     }
 
     fn stop_parts(&mut self) -> Option<PlaneStats> {
         let plane = self.plane.take()?;
+        // Joins the drainers, then runs the hook once more: the final
+        // routing pass.
         let stats = plane.shutdown();
-        self.signal.stop.store(true, Ordering::Release);
-        self.signal.notify();
-        if let Some(reactor) = self.reactor.take() {
-            reactor.join().expect("reactor thread panicked");
-        }
         for table in self.tables.lock().values() {
             table.detach();
         }
@@ -221,37 +190,6 @@ impl AsyncPlane {
 impl Drop for AsyncPlane {
     fn drop(&mut self) {
         self.stop_parts();
-    }
-}
-
-fn reactor_loop(
-    set: &RingSet,
-    tables: &TableMap,
-    signal: &ReactorSignal,
-    routed: &AtomicU64,
-    metrics: &DispatchMetrics,
-) {
-    loop {
-        // Order matters: observe `stop` *before* routing, so the pass
-        // after the final observation covers every completion posted
-        // before the flag flipped (the plane joins its drainers first).
-        let stop = signal.stop.load(Ordering::Acquire);
-        let n = route_completions(set, tables, Some(metrics));
-        if n > 0 {
-            routed.fetch_add(n as u64, Ordering::Relaxed);
-        }
-        if stop {
-            return;
-        }
-        let mut notified = signal.notified.lock().unwrap_or_else(|e| e.into_inner());
-        if !*notified {
-            notified = signal
-                .available
-                .wait_timeout(notified, REACTOR_BACKSTOP)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        *notified = false;
     }
 }
 
@@ -302,6 +240,12 @@ mod tests {
     use std::pin::Pin;
     use std::task::{Context, Wake, Waker};
 
+    /// A waker for futures polled by hand, whose wakes nobody acts on.
+    struct NoopWake;
+    impl Wake for NoopWake {
+        fn wake(self: Arc<Self>) {}
+    }
+
     #[test]
     fn a_hundred_logical_clients_share_two_executor_threads() {
         let (k, _m, clients, incr) = kernel_with_clients(1);
@@ -324,12 +268,164 @@ mod tests {
             .collect();
         let sum: u64 = handles.into_iter().map(|h| h.join()).sum();
         assert_eq!(sum, (1..=100u64).sum::<u64>());
-        assert!(
-            plane.routed() >= 100,
-            "every completion routes through the reactor"
-        );
         assert_eq!(session.in_flight(), 0);
+        let (_, routed) = shutdown_counting(plane);
+        assert_eq!(routed, 100, "every completion is routed");
+    }
+
+    /// Shut `plane` down and read its routed count afterwards: a drainer
+    /// adds a routing pass's count only after waking that pass's tasks,
+    /// so the count is exact only once the drainers are joined.
+    fn shutdown_counting(plane: AsyncPlane) -> (PlaneStats, u64) {
+        let routed = Arc::clone(&plane.routed);
+        let stats = plane.shutdown();
+        (stats, routed.load(Ordering::Relaxed))
+    }
+
+    /// Two drainers route four sessions' completions concurrently; every
+    /// completion must reach its task exactly once.
+    fn routes_exactly_once_over_two_drainers(cfg: PlaneConfig) {
+        const TASKS: u64 = 400;
+        let (k, _m, clients, incr) = kernel_with_clients(4);
+        let plane = AsyncPlane::start(Arc::new(k), cfg).unwrap();
+        let sessions: Vec<AsyncSession> = clients
+            .iter()
+            .map(|&client| plane.session(client).unwrap())
+            .collect();
+        let exec = Executor::new(2);
+        let handles: Vec<_> = (0..TASKS)
+            .map(|i| {
+                let session = sessions[i as usize % sessions.len()].clone();
+                exec.spawn(async move {
+                    let ret = session.call(incr, i.to_le_bytes()).await.unwrap();
+                    (i, u64::from_le_bytes(ret.try_into().unwrap()))
+                })
+            })
+            .collect();
+        for handle in handles {
+            let (arg, reply) = handle.join();
+            assert_eq!(reply, arg + 1);
+        }
+        for session in &sessions {
+            assert_eq!(session.in_flight(), 0);
+        }
+        let (stats, routed) = shutdown_counting(plane);
+        assert_eq!(routed, TASKS, "each completion routed exactly once");
+        assert_eq!(stats.drained, TASKS);
+        assert_eq!(stats.completed + stats.failed, TASKS);
+    }
+
+    #[test]
+    fn two_drainers_route_every_completion_exactly_once() {
+        routes_exactly_once_over_two_drainers(PlaneConfig::builder().drainers(2).build());
+    }
+
+    #[test]
+    fn two_drainers_route_exactly_once_under_qos_and_health() {
+        routes_exactly_once_over_two_drainers(
+            PlaneConfig::builder()
+                .drainers(2)
+                .qos(secmod_qos::QosPolicy::weighted_fair([]))
+                .health(secmod_qos::HealthConfig::with_deadline(
+                    std::time::Duration::from_millis(200),
+                ))
+                .build(),
+        );
+    }
+
+    #[test]
+    fn shutdown_routes_the_final_sweep_before_detaching() {
+        const CALLS: u64 = 16; // fits the default submission ring: no bounce
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let plane = AsyncPlane::start(Arc::new(k), PlaneConfig::default()).unwrap();
+        let session = plane.session(clients[0]).unwrap();
+        let waker = Waker::from(Arc::new(NoopWake));
+        let mut cx = Context::from_waker(&waker);
+        let mut futures: Vec<CallFuture> = (0..CALLS)
+            .map(|i| session.call(incr, i.to_le_bytes()))
+            .collect();
+        for future in &mut futures {
+            assert!(
+                Pin::new(future).poll(&mut cx).is_pending(),
+                "a first poll submits and suspends"
+            );
+        }
+        // Nothing awaited yet: whatever the drainers did not route, the
+        // shutdown's final pass must, before the tables detach.
+        let (stats, routed) = shutdown_counting(plane);
+        assert_eq!(stats.drained, CALLS);
+        assert_eq!(routed, CALLS);
+        for (i, future) in futures.into_iter().enumerate() {
+            assert_eq!(
+                block_on(future),
+                Ok((i as u64 + 1).to_le_bytes().to_vec()),
+                "call {i} must resolve with its reply, not Detached"
+            );
+        }
+        assert_eq!(session.in_flight(), 0);
+    }
+
+    /// 32 single calls against 4-deep rings while routing is held off,
+    /// so most first polls bounce; each bounce takes its argument bytes
+    /// back and retries.
+    fn poll_path_bounce_keeps_args(arg_len: usize) {
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let kernel = Arc::new(k);
+        let plane = AsyncPlane::start(
+            Arc::clone(&kernel),
+            PlaneConfig {
+                ring: secmod_ring::RingPairConfig {
+                    submission: 4,
+                    completion: 4,
+                },
+                ..PlaneConfig::default()
+            },
+        )
+        .unwrap();
+        let session = plane.session(clients[0]).unwrap();
+        let mut all = join_all((0..32u64).map(|i| {
+            let mut args = vec![0xA5u8; arg_len];
+            args[..8].copy_from_slice(&i.to_le_bytes());
+            session.call(incr, args)
+        }));
+        {
+            // Holding the slot→table map stalls every routing pass, so
+            // at most 4 completions are posted and 4 submissions queued
+            // before the first poll of all 32 calls: the rest bounce.
+            let _routing = plane.tables.lock();
+            let waker = Waker::from(Arc::new(NoopWake));
+            assert!(Pin::new(&mut all)
+                .poll(&mut Context::from_waker(&waker))
+                .is_pending());
+        }
+        for (i, result) in block_on(all).into_iter().enumerate() {
+            assert_eq!(result.unwrap(), (i as u64 + 1).to_le_bytes().to_vec());
+        }
+        assert!(
+            kernel.metrics.async_resubmits.get() >= 24,
+            "4-deep rings with routing stalled must bounce most of 32 calls"
+        );
+        // The session's arena region (and its magazine) goes with it.
+        drop(session);
         plane.shutdown();
+        let arena = &kernel.metrics.arena;
+        if arg_len > secmod_ring::INLINE_ARG_MAX {
+            // Every attempt, bounced or not, was placed in the arena;
+            // every call reached the kernel by descriptor.
+            assert_eq!(arena.arena_args.get(), 32);
+        }
+        assert_eq!(arena.bytes_in_flight.get(), 0, "arena bytes settle to 0");
+        assert_eq!(arena.allocs.get(), arena.frees.get());
+    }
+
+    #[test]
+    fn a_poll_path_bounce_keeps_inline_args() {
+        poll_path_bounce_keeps_args(8);
+    }
+
+    #[test]
+    fn a_poll_path_bounce_keeps_arena_args() {
+        poll_path_bounce_keeps_args(256);
     }
 
     #[test]
@@ -361,10 +457,6 @@ mod tests {
 
     #[test]
     fn dropping_a_future_mid_await_leaks_nothing() {
-        struct NoopWake;
-        impl Wake for NoopWake {
-            fn wake(self: Arc<Self>) {}
-        }
         let (k, _m, clients, incr) = kernel_with_clients(1);
         let kernel = Arc::new(k);
         let plane = AsyncPlane::start(kernel, PlaneConfig::default()).unwrap();
@@ -378,7 +470,7 @@ mod tests {
         let mut future = session.call(incr, 1u64.to_le_bytes());
         let _ = Pin::new(&mut future).poll(&mut cx);
         drop(future);
-        // The orphaned completion (if any) is discarded by the reactor;
+        // The orphaned completion (if any) is discarded by the router;
         // nothing stays registered and the session keeps working.
         let ret = block_on(session.call(incr, 9u64.to_le_bytes())).unwrap();
         assert_eq!(ret, 10u64.to_le_bytes().to_vec());
@@ -398,7 +490,7 @@ mod tests {
             cost_ns >= kernel.cost.cached_decision_ns,
             "the cost covers at least the policy decision, got {cost_ns}"
         );
-        // The reactor recorded the completion under the async flavor.
+        // The router recorded the completion under the async flavor.
         let summary = plane.metrics().unwrap().latency(secmod_obs::Flavor::Async);
         assert!(summary.count() >= 1);
         plane.shutdown();

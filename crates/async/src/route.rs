@@ -11,6 +11,14 @@
 //! worth of completions wakes every logical client it answered, however
 //! many OS threads those clients are multiplexed over.
 //!
+//! Routers run wherever completions are posted: on each plane drainer
+//! right after a productive sweep (and once more at plane shutdown), or
+//! between the [`crate::SimDriver`]'s poll rounds. Two drainers may
+//! therefore route the same session at once; that is safe because the
+//! completion ring's `pop` is the multi-consumer Vyukov pop (each
+//! response is taken by exactly one router) and the table is locked per
+//! delivery.
+//!
 //! Cancellation falls out of the table shape: a [`crate::CallFuture`]
 //! that is dropped mid-await removes its own entry, so its completion
 //! arrives, finds no entry, and is discarded — no waker leak, no slot
@@ -20,9 +28,34 @@ use parking_lot::Mutex;
 use secmod_obs::{DispatchMetrics, Flavor};
 use secmod_ring::{RingSet, SmodCallResp};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
+
+/// Hashes a `user_data` cookie with one Fibonacci multiply. Cookies are
+/// per-session counters, so there is nothing adversarial to defend
+/// against, and SipHash costs several times more per probe.
+#[derive(Default)]
+pub(crate) struct CookieHasher(u64);
+
+impl Hasher for CookieHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // 2^64 / golden ratio: odd, so the low bits the table indexes by
+        // stay a bijection of the counter's low bits.
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// One in-flight call's routing state.
 #[derive(Debug, Default)]
@@ -37,7 +70,7 @@ pub(crate) struct Pending {
 /// backpressure-waiter parking.
 #[derive(Debug, Default)]
 pub struct SlotTable {
-    pub(crate) pending: Mutex<HashMap<u64, Pending>>,
+    pub(crate) pending: Mutex<HashMap<u64, Pending, BuildHasherDefault<CookieHasher>>>,
     /// Wakers of callers whose submit bounced with `Full`, woken after
     /// the next routed completion (completions imply the drainer popped
     /// submissions, i.e. submission-ring space reappeared).

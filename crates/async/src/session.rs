@@ -29,6 +29,7 @@ use secmod_obs::DispatchMetrics;
 use secmod_ring::{
     ArgRef, RingSet, RingSlotId, SessionRings, SmodCallReq, SmodCallResp, SubmitError,
 };
+use std::collections::hash_map::Entry;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::Ordering;
@@ -190,11 +191,12 @@ impl AsyncSession {
             // racing this loop has somewhere to land; the waker is
             // parked by the first poll.
             self.core.table.pending.lock().entry(ud).or_default();
-            let state = match batch.push(proc_id, ud, args.clone()) {
+            let state = match batch.push(proc_id, ud, args) {
                 Ok(()) => CallState::Submitted { user_data: ud },
                 // Bounced (the guard flushed the prefix) or the plane is
                 // stopping: hand the poll path an unsubmitted future with
-                // the cookie pinned — it retries or resolves `Detached`.
+                // the cookie pinned and the arguments taken back — it
+                // retries or resolves `Detached`.
                 Err(err) => {
                     if matches!(err, SubmitError::Full(_)) {
                         if let Some(metrics) = &self.core.metrics {
@@ -203,7 +205,7 @@ impl AsyncSession {
                     }
                     CallState::Unsubmitted {
                         proc_id,
-                        args,
+                        args: err.into_req().args.into_vec(),
                         user_data: Some(ud),
                     }
                 }
@@ -253,6 +255,9 @@ struct CallInner {
 
 impl CallInner {
     fn poll_resp(&mut self, cx: &mut Context<'_>) -> Poll<Result<SmodCallResp, DispatchError>> {
+        // Set once this poll has parked on backpressure: the next bounce
+        // suspends.
+        let mut parked = false;
         loop {
             match &mut self.state {
                 CallState::Unsubmitted {
@@ -272,22 +277,34 @@ impl CallInner {
                     // Park the waker *before* submitting: a completion
                     // racing this poll finds somewhere to deliver.
                     table.pending.lock().entry(ud).or_default().waker = Some(cx.waker().clone());
-                    match self.core.target.submit(*proc_id, ud, args.clone()) {
+                    match self.core.target.submit(*proc_id, ud, std::mem::take(args)) {
                         Ok(()) => {
+                            // The waker is already parked: whoever routes
+                            // the response wakes us, even if that has
+                            // happened by now.
                             self.state = CallState::Submitted { user_data: ud };
-                            // Fall through: the response may already be
-                            // routed by the time we re-check.
-                        }
-                        Err(SubmitError::Full(_)) => {
-                            // Backpressure: suspend until the router sees
-                            // a completion on this session (which implies
-                            // submission-ring space reappeared). Each
-                            // bounce is one deferred re-submit.
-                            if let Some(metrics) = &self.core.metrics {
-                                metrics.async_resubmits.incr();
-                            }
-                            table.submit_waiters.lock().push(cx.waker().clone());
                             return Poll::Pending;
+                        }
+                        Err(SubmitError::Full(req)) => {
+                            // Take the arguments back (an arena placement
+                            // is copied out and freed).
+                            *args = req.args.into_vec();
+                            if parked {
+                                // Backpressure: suspend until the router
+                                // sees a completion on this session (which
+                                // implies submission-ring space
+                                // reappeared). Each suspension is one
+                                // deferred re-submit.
+                                if let Some(metrics) = &self.core.metrics {
+                                    metrics.async_resubmits.incr();
+                                }
+                                return Poll::Pending;
+                            }
+                            // Park first, then retry once: space a drain
+                            // freed (and a routing pass announced) before
+                            // the waker was parked would wake nobody.
+                            table.submit_waiters.lock().push(cx.waker().clone());
+                            parked = true;
                         }
                         Err(SubmitError::Detached(_)) => {
                             table.pending.lock().remove(&ud);
@@ -300,15 +317,15 @@ impl CallInner {
                     let ud = *user_data;
                     let table = &self.core.table;
                     let mut pending = table.pending.lock();
-                    let Some(entry) = pending.get_mut(&ud) else {
+                    let Entry::Occupied(mut entry) = pending.entry(ud) else {
                         // Entry vanished without us removing it — only
                         // teardown does that.
                         drop(pending);
                         self.state = CallState::Done;
                         return Poll::Ready(Err(DispatchError::Detached));
                     };
-                    if let Some(resp) = entry.resp.take() {
-                        pending.remove(&ud);
+                    if let Some(resp) = entry.get_mut().resp.take() {
+                        entry.remove();
                         drop(pending);
                         self.state = CallState::Done;
                         return Poll::Ready(Ok(resp));
@@ -316,12 +333,12 @@ impl CallInner {
                     if table.detached.load(Ordering::Acquire) {
                         // Shut down with the response never routed: the
                         // call is lost to teardown.
-                        pending.remove(&ud);
+                        entry.remove();
                         drop(pending);
                         self.state = CallState::Done;
                         return Poll::Ready(Err(DispatchError::Detached));
                     }
-                    entry.waker = Some(cx.waker().clone());
+                    entry.get_mut().waker = Some(cx.waker().clone());
                     return Poll::Pending;
                 }
                 CallState::Done => panic!("call future polled after completion"),

@@ -40,7 +40,8 @@ pub(crate) fn kernel_with_clients(n_clients: usize) -> (Kernel, ModuleId, Vec<Pi
     let mut functions = FunctionTable::new();
     for stub in &stub_table.stubs {
         functions.register(stub.func_id, |_ctx, args| {
-            let v = u64::from_le_bytes(args[..8].try_into().map_err(|_| Errno::EINVAL)?);
+            let head = args.get(..8).ok_or(Errno::EINVAL)?;
+            let v = u64::from_le_bytes(head.try_into().map_err(|_| Errno::EINVAL)?);
             Ok((v + 1).to_le_bytes().to_vec())
         });
     }

@@ -1,8 +1,8 @@
 //! `async_throughput`: the futures frontend as the logical-client
 //! population scales past the OS thread count.
 //!
-//! The fixture holds the OS footprint constant — 2 executor workers,
-//! 1 drainer, 1 reactor — and pushes the same total number of awaited
+//! The fixture holds the OS footprint constant — 2 executor workers and
+//! 1 drainer, which also routes completions — and pushes the same total number of awaited
 //! calls through 1x, 10x and 100x as many logical clients as executor
 //! threads, all multiplexed over 8 real kernel sessions. Suspension is
 //! the whole product: a parked waker costs no thread, so completions/sec
@@ -103,7 +103,7 @@ fn async_throughput(c: &mut Criterion) {
 
     // Explicit acceptance summary: completions/sec with 100x the logical
     // clients must stay within 20% of the 1x row — the OS footprint
-    // (executor + drainer + reactor threads) never changes, only how
+    // (executor + drainer threads) never changes, only how
     // many suspended callers share it.
     cycle(&f, EXEC_THREADS); // warmup: hot decision cache, hot rings
     let baseline = wall_clock_ops_per_sec(&f, EXEC_THREADS, 8);

@@ -40,8 +40,8 @@
 //!   once per sweep.
 //! * **async** — the futures frontend: `logical_clients` tasks (far more
 //!   than `threads` executor workers) each `await` their calls on an
-//!   [`secmod_async::AsyncPlane`]; a reactor thread routes completions
-//!   back to parked wakers, so suspension replaces blocking and a
+//!   [`secmod_async::AsyncPlane`]; each drainer routes the completions
+//!   it posts back to parked wakers, so suspension replaces blocking and a
 //!   handful of OS threads multiplex the whole client population.
 //! * **stall** — fault injection on the plane: the same workload as
 //!   **plane**, plus an antagonist thread that repeatedly claims the
@@ -118,7 +118,7 @@ pub enum ScenarioKind {
     PlaneDispatch,
     /// Async frontend: `logical_clients` tasks (≫ threads) awaiting
     /// `session.call(..).await` futures, multiplexed over `threads`
-    /// executor workers plus the plane's drainers and reactor.
+    /// executor workers plus the plane's drainers.
     AsyncDispatch,
     /// Plane dispatch under a *stall antagonist*: a fault-injection
     /// thread repeatedly claims the ring set's readiness bits (and the
@@ -1210,8 +1210,7 @@ pub(crate) fn layered_cache_stats(kernel: &Kernel, module: ModuleId) -> CacheSta
 /// The [`ScenarioKind::AsyncDispatch`] runner: `logical_clients` tasks
 /// (≫ `threads`) each drive a random stream of awaited calls through a
 /// shared [`secmod_async::AsyncPlane`]; `threads` executor workers poll
-/// them, the plane's drainers sweep, and the reactor routes completions
-/// back. Same universe, same embedded-gateway checks, same deterministic
+/// them, and the plane's drainers sweep and route completions back. Same universe, same embedded-gateway checks, same deterministic
 /// allow/deny totals as every other dispatch scenario — only the
 /// concurrency model changes.
 fn run_async_scenario(cfg: &ScenarioConfig) -> ScenarioReport {
@@ -1386,7 +1385,7 @@ pub fn run_metrics_demo(seed: u64) -> String {
     plane.shutdown();
 
     // Async: awaited `call_costed` futures through the futures frontend;
-    // its reactor routes completions (the async flavor) off the same
+    // its drainers route completions (the async flavor) off the same
     // sweeps.
     let aplane = AsyncPlane::start(
         std::sync::Arc::clone(&kernel),

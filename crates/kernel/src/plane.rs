@@ -295,8 +295,10 @@ struct PlaneShared {
     set: Arc<RingSet>,
     stop: AtomicBool,
     /// Invoked by a drainer after any sweep that produced completions
-    /// (and once more at shutdown). The async frontend's reactor hangs
-    /// its wake-up here so it parks instead of polling the completion
+    /// (and once more at shutdown, on the thread stopping the plane,
+    /// after every drainer has been joined). The async frontend routes
+    /// completions to parked wakers right here, on the drainer that
+    /// posted them, so no consumer thread has to poll the completion
     /// bitmap; `None` costs the drainers one relaxed load per sweep.
     completion_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
     /// Drainer thread handles for unparking (filled once at start).
@@ -492,7 +494,7 @@ impl DispatchPlane {
     }
 
     /// The plane's shared ring set. A completion consumer (the async
-    /// frontend's reactor) holds this to sweep the completion bitmap;
+    /// frontend's router) holds this to sweep the completion bitmap;
     /// everything else should go through [`DispatchPlane::attach`].
     pub fn ring_set(&self) -> Arc<RingSet> {
         Arc::clone(&self.shared.set)
@@ -505,9 +507,13 @@ impl DispatchPlane {
 
     /// Register the completion-notification hook: called by a drainer
     /// after every sweep that pushed completions, and once more at
-    /// shutdown. At most one consumer; registering again replaces the
-    /// previous hook. The hook runs on drainer threads — it must be
-    /// cheap and must not block (an unpark, a condvar signal).
+    /// shutdown on the thread calling [`DispatchPlane::shutdown`] (after
+    /// the drainers are joined, so that last call sees every
+    /// completion). At most one consumer; registering again replaces
+    /// the previous hook. The hook runs inline on drainer threads, and
+    /// several drainers may run it at once: it must not block, and
+    /// whatever it costs delays that drainer's next sweep. The async
+    /// frontend routes completions to wakers here.
     pub fn on_completions(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         *self.shared.completion_hook.write() = Some(hook);
     }
@@ -1383,7 +1389,7 @@ mod tests {
             std::thread::yield_now();
         }
         let before_shutdown = fired.load(Ordering::Acquire);
-        // The completion bitmap was flagged for the reactor's benefit.
+        // The completion bitmap was flagged for the completion consumer.
         let set = plane.ring_set();
         assert!(set.any_completed());
         plane.shutdown();

@@ -153,8 +153,8 @@ impl Kernel {
             Flavor::Sweep,
         );
         // Every drained entry pushed a completion (success or errno):
-        // flag the completion bitmap so a parked consumer (the async
-        // reactor) learns about the responses without polling rings.
+        // flag the completion bitmap so the completion consumer (the
+        // async router) finds the responses without polling rings.
         if outcome.drained > 0 {
             set.mark_completed(slot);
         }

@@ -22,7 +22,7 @@
 //!   registry as the table `gate_report --metrics` prints.
 //!
 //! The crate sits *below* the kernel (it depends on nothing), so every
-//! layer — kernel syscalls, the dispatch plane, the async reactor — can
+//! layer — kernel syscalls, the dispatch plane, the async router — can
 //! record into one shared registry without a dependency cycle.
 
 #![forbid(unsafe_code)]
@@ -464,8 +464,8 @@ pub enum Flavor {
     /// `DispatchPlane` producers (submit/reap through dedicated
     /// drainers; latency recorded at reap).
     Plane,
-    /// The futures frontend (latency recorded as the reactor routes each
-    /// completion).
+    /// The futures frontend (latency recorded as each completion is
+    /// routed to its waker, on the drainer that posted it).
     Async,
 }
 
@@ -499,7 +499,7 @@ impl Flavor {
 /// [`Flavor`] plus the event counters every layer feeds.
 ///
 /// One registry lives in each `Kernel`; the plane's drainers, the
-/// async reactor, and the syscall paths all record into it, and
+/// async router, and the syscall paths all record into it, and
 /// `Dispatcher::metrics()` exposes it uniformly.
 #[derive(Debug, Default)]
 pub struct DispatchMetrics {

@@ -144,18 +144,23 @@ impl HealthMonitor {
 
     /// The current verdict for seat `idx`.
     pub fn state_of(&self, idx: usize) -> DrainerState {
+        self.state_at(idx, self.epoch.elapsed())
+    }
+
+    /// The verdict for seat `idx` as of `now` (time since the monitor's
+    /// epoch).
+    fn state_at(&self, idx: usize, now: Duration) -> DrainerState {
         let cells = self.cells.read();
         let Some(cell) = cells.get(idx) else {
             return DrainerState::Dead;
         };
-        self.judge(cell)
+        self.judge(cell, now)
     }
 
-    fn judge(&self, cell: &HeartCell) -> DrainerState {
+    fn judge(&self, cell: &HeartCell, now: Duration) -> DrainerState {
         if cell.dead.load(Ordering::Acquire) {
             return DrainerState::Dead;
         }
-        let now = self.epoch.elapsed();
         let last = Duration::from_nanos(cell.last_beat_ns.load(Ordering::Acquire));
         let stale = now.saturating_sub(last);
         if stale > self.deadline * 2 {
@@ -170,10 +175,17 @@ impl HealthMonitor {
     /// Seats newly judged `Dead` since the last call — each surfaces
     /// exactly once, so the supervisor reclaims/respawns once per death.
     pub fn take_dead(&self) -> Vec<usize> {
+        self.take_dead_at(self.epoch.elapsed())
+    }
+
+    /// [`HealthMonitor::take_dead`] as of `now` (time since the epoch).
+    fn take_dead_at(&self, now: Duration) -> Vec<usize> {
         let cells = self.cells.read();
         let mut dead = Vec::new();
         for (idx, cell) in cells.iter().enumerate() {
-            if self.judge(cell) == DrainerState::Dead && !cell.dead.swap(true, Ordering::AcqRel) {
+            if self.judge(cell, now) == DrainerState::Dead
+                && !cell.dead.swap(true, Ordering::AcqRel)
+            {
                 dead.push(idx);
             }
         }
@@ -198,40 +210,59 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread::sleep;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// When seat `idx` last beat, on the monitor's clock. The verdicts
+    /// below are taken at synthetic times relative to it, so no test
+    /// depends on how long a sleep really lasted.
+    fn last_beat(mon: &HealthMonitor, idx: usize) -> Duration {
+        Duration::from_nanos(mon.cells.read()[idx].last_beat_ns.load(Ordering::Acquire))
+    }
 
     #[test]
     fn fresh_seats_are_alive_and_deadlines_escalate() {
-        let mon = HealthMonitor::new(Duration::from_millis(2));
+        let mon = HealthMonitor::new(2 * MS);
         let (idx, hb) = mon.register();
-        assert_eq!(mon.state_of(idx), DrainerState::Alive);
-        sleep(Duration::from_millis(3));
-        assert_eq!(mon.state_of(idx), DrainerState::Suspect);
+        let beat = last_beat(&mon, idx);
+        assert_eq!(mon.state_at(idx, beat), DrainerState::Alive);
+        assert_eq!(mon.state_at(idx, beat + 2 * MS), DrainerState::Alive);
+        assert_eq!(mon.state_at(idx, beat + 3 * MS), DrainerState::Suspect);
+        assert_eq!(mon.state_at(idx, beat + 4 * MS), DrainerState::Suspect);
         hb.beat();
-        assert_eq!(mon.state_of(idx), DrainerState::Alive, "beat recovers");
-        sleep(Duration::from_millis(5));
-        assert_eq!(mon.state_of(idx), DrainerState::Dead);
+        let beat = last_beat(&mon, idx);
+        assert_eq!(
+            mon.state_at(idx, beat),
+            DrainerState::Alive,
+            "beat recovers"
+        );
+        assert_eq!(mon.state_at(idx, beat + 5 * MS), DrainerState::Dead);
     }
 
     #[test]
     fn take_dead_surfaces_each_death_once_and_revive_rearms() {
-        let mon = HealthMonitor::new(Duration::from_millis(1));
+        let mon = HealthMonitor::new(MS);
         let (idx, hb) = mon.register();
-        sleep(Duration::from_millis(4));
-        assert_eq!(mon.take_dead(), vec![idx]);
-        assert_eq!(mon.take_dead(), Vec::<usize>::new(), "verdict is one-shot");
+        let beat = last_beat(&mon, idx);
+        assert_eq!(mon.take_dead_at(beat + MS), Vec::<usize>::new());
+        assert_eq!(mon.take_dead_at(beat + 4 * MS), vec![idx]);
+        assert_eq!(
+            mon.take_dead_at(beat + 4 * MS),
+            Vec::<usize>::new(),
+            "verdict is one-shot"
+        );
         // A late beat from the corpse does not resurrect the seat.
         hb.beat();
-        assert_eq!(mon.state_of(idx), DrainerState::Dead);
+        assert_eq!(mon.state_at(idx, last_beat(&mon, idx)), DrainerState::Dead);
         let hb2 = mon.revive(idx).expect("seat exists");
-        assert_eq!(mon.state_of(idx), DrainerState::Alive);
+        assert_eq!(mon.state_at(idx, last_beat(&mon, idx)), DrainerState::Alive);
         drop(hb2);
         assert_eq!(mon.seats(), 1);
     }
 
     #[test]
     fn out_of_range_seats_read_dead() {
-        let mon = HealthMonitor::new(Duration::from_millis(1));
+        let mon = HealthMonitor::new(MS);
         assert_eq!(mon.state_of(7), DrainerState::Dead);
         assert!(mon.revive(7).is_none());
     }

@@ -15,7 +15,7 @@
 //!   and
 //! * a mirror-image **completion bitmap** pointing the other way: the
 //!   kernel sets a slot's completed bit after pushing into its completion
-//!   ring, and a completion consumer (the async frontend's reactor) claims
+//!   ring, and a completion consumer (the async frontend's router) claims
 //!   whole words with the same clear-then-drain protocol instead of
 //!   polling every session's completion ring.
 //!
@@ -413,9 +413,8 @@ impl RingSet {
 
     /// Is any slot flagged as having unreaped completions?
     pub fn any_completed(&self) -> bool {
-        // Acquire pairs with the kernel's release `mark_completed`, so a
-        // reactor deciding whether to park sees every bit set before the
-        // call (its park timeout backstops the remaining window).
+        // Acquire pairs with the kernel's release `mark_completed`, so
+        // the caller sees every bit set before the call.
         self.completed
             .iter()
             .any(|w| w.0.load(Ordering::Acquire) != 0)
@@ -428,12 +427,14 @@ impl RingSet {
     ///
     /// Same word-at-a-time `swap(0)` claim as [`RingSet::claim_ready`],
     /// pointing the other way and with no ledger. There is no per-slot
-    /// exclusivity flag on this path: completion reaping is
-    /// single-consumer by construction
-    /// (each completion ring belongs to the one frontend that registered
-    /// the slot), so the bitmap race is the only one to handle — a
-    /// `mark_completed` racing the swap either lands before the reap (and
-    /// is consumed) or re-sets the bit for the next sweep.
+    /// exclusivity flag on this path, and several threads may sweep at
+    /// once (the async frontend routes on every drainer that posts).
+    /// That is safe as long as `visit` reaps with the multi-consumer
+    /// [`Ring::pop`][crate::Ring::pop]: each response is taken by
+    /// exactly one sweeper, and a `mark_completed` racing the swap either
+    /// lands before some sweeper's reap (and is consumed) or re-sets the
+    /// bit for the next sweep. Reaping with `pop_spsc` here is only
+    /// correct when one thread owns every sweep.
     pub fn sweep_completed(
         &self,
         mut visit: impl FnMut(RingSlotId, &Arc<SessionRings>) -> bool,

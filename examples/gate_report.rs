@@ -143,8 +143,8 @@ fn main() {
     println!("           through sys_smod_call_batch (fixed costs amortised per batch)");
     println!("  plane    producers >> drainers: producers attach to a DispatchPlane and never");
     println!("           trap; dedicated drainers sweep all ready sessions per sys_smod_sweep");
-    println!("  async    logical clients >> threads: tasks await plane.call() futures; a");
-    println!("           reactor thread routes sweep completions back to parked wakers");
+    println!("  async    logical clients >> threads: tasks await plane.call() futures; each");
+    println!("           drainer routes the completions it posts back to parked wakers");
     println!("  stall    the plane workload plus a fault-injection antagonist that claims");
     println!("           readiness bits and drain slots without draining: decisions are");
     println!("           untouched, only the latency tail stretches");
