@@ -12,8 +12,22 @@
 //! completions) is wake-dominated and the tasks are tiny, so per-worker
 //! deques and work stealing would be complexity without a measurable win
 //! at the bench's scale.
+//!
+//! Wake-dominated also means hand-offs dominate, at both ends of the
+//! queue. A completion router wakes a whole sweep's worth of tasks; a
+//! worker's polls submit as many calls. Inside [`coalesce`] both are held
+//! on the calling thread and released together when the scope ends:
+//! woken tasks are queued with one lock per executor, and each touched
+//! session's doorbell rings once ([`ring_soon`]). Workers poll the tasks
+//! they take from the queue (up to [`RUN`] at a time) inside one scope,
+//! so the drainer finds a run's submissions together instead of chasing
+//! the worker call by call, and the router's wakes no longer contend
+//! with the worker task by task. A worker is only notified when one is
+//! actually waiting.
 
 use parking_lot::Mutex;
+use secmod_kernel::plane::{Doorbell, PlaneHandle};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -23,24 +37,134 @@ use std::task::{Context, Poll, Wake, Waker};
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// Most tasks a worker takes from the queue at once. Their polls share
+/// one [`coalesce`] scope, so this also bounds how long a submission
+/// waits for its doorbell: at most `RUN - 1` other polls.
+const RUN: usize = 64;
+
 /// The shared run queue: an injector deque plus a condvar so idle
 /// workers sleep instead of spinning. Uses `std::sync` directly (the
 /// vendored parking_lot shim carries no `Condvar`); poison is shrugged
 /// off the same way the shim does it.
 struct Queue {
-    injector: StdMutex<VecDeque<Arc<Task>>>,
+    injector: StdMutex<Injector>,
     available: Condvar,
     shutdown: AtomicBool,
+    /// Worker threads, so each takes a fair share of a short queue.
+    workers: usize,
+}
+
+/// What the queue's lock guards.
+#[derive(Default)]
+struct Injector {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers waiting on `available`. Counted under the lock, so a
+    /// pusher that reads 0 knows every worker will see its task before
+    /// it next waits, and can skip the notification (a futex syscall
+    /// even when nobody waits).
+    sleepers: usize,
 }
 
 impl Queue {
-    fn injector(&self) -> std::sync::MutexGuard<'_, VecDeque<Arc<Task>>> {
+    fn injector(&self) -> std::sync::MutexGuard<'_, Injector> {
         self.injector.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn push(&self, task: Arc<Task>) {
-        self.injector().push_back(task);
-        self.available.notify_one();
+    /// Queue `tasks` under one lock and wake at most one sleeping worker
+    /// per task.
+    fn push(&self, tasks: impl IntoIterator<Item = Arc<Task>>) {
+        let wake = {
+            let mut injector = self.injector();
+            let before = injector.tasks.len();
+            injector.tasks.extend(tasks);
+            injector.sleepers.min(injector.tasks.len() - before)
+        };
+        for _ in 0..wake {
+            self.available.notify_one();
+        }
+    }
+}
+
+/// The calling thread's [`coalesce`] scope: while `active`, woken tasks
+/// and doorbells to ring collect here.
+#[derive(Default)]
+struct Held {
+    active: bool,
+    tasks: Vec<Arc<Task>>,
+    /// Distinct doorbells, in first-submission order.
+    doorbells: Vec<Doorbell>,
+}
+
+thread_local! {
+    static HELD: RefCell<Held> = RefCell::new(Held::default());
+}
+
+/// Run `f` with the executor wakes and plane doorbells it causes on this
+/// thread held back until it returns (or unwinds), then [`release`] them.
+/// Wakers of anything other than an [`Executor`] task still fire at
+/// once. Nested scopes fold into the outermost one.
+pub(crate) fn coalesce<R>(f: impl FnOnce() -> R) -> R {
+    /// Ends the scope and releases what it held, even on unwind: a held
+    /// task would never be polled again, a held doorbell would leave its
+    /// submissions unseen.
+    struct End;
+    impl Drop for End {
+        fn drop(&mut self) {
+            HELD.with(|h| h.borrow_mut().active = false);
+            release();
+        }
+    }
+    let outer = HELD.with(|h| !std::mem::replace(&mut h.borrow_mut().active, true));
+    let _end = outer.then_some(End);
+    f()
+}
+
+/// Ring every held doorbell, then queue every held task in wake order,
+/// one lock per executor. The scope (if any) stays open.
+fn release() {
+    // Nothing can be held once the thread-local is torn down.
+    let Ok((mut doorbells, mut tasks)) = HELD.try_with(|h| {
+        let mut h = h.borrow_mut();
+        (
+            std::mem::take(&mut h.doorbells),
+            std::mem::take(&mut h.tasks),
+        )
+    }) else {
+        return;
+    };
+    for doorbell in doorbells.drain(..) {
+        doorbell.ring();
+    }
+    let mut rest = tasks.drain(..).peekable();
+    while let Some(first) = rest.next() {
+        let queue = Arc::clone(&first.queue);
+        let same = std::iter::from_fn(|| rest.next_if(|t| Arc::ptr_eq(&t.queue, &queue)));
+        queue.push(std::iter::once(first).chain(same));
+    }
+    drop(rest);
+    // Hand the emptied buffers back, so the next scope on this thread
+    // does not allocate.
+    HELD.with(|h| {
+        let mut h = h.borrow_mut();
+        h.doorbells = doorbells;
+        h.tasks = tasks;
+    });
+}
+
+/// Ring `handle`'s doorbell: now, or, inside a [`coalesce`] scope, once
+/// when the scope ends however many submissions it covers.
+pub(crate) fn ring_soon(handle: &PlaneHandle) {
+    let held = HELD
+        .try_with(|h| {
+            let mut h = h.borrow_mut();
+            if h.active && !h.doorbells.iter().any(|d| d.is_for(handle)) {
+                h.doorbells.push(handle.doorbell());
+            }
+            h.active
+        })
+        .unwrap_or(false);
+    if !held {
+        handle.doorbell().ring();
     }
 }
 
@@ -57,8 +181,22 @@ struct Task {
 
 impl Task {
     fn schedule(self: &Arc<Task>) {
-        if !self.queued.swap(true, Ordering::AcqRel) {
-            self.queue.push(Arc::clone(self));
+        if self.queued.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // A thread-local that is already torn down (a wake from a
+        // thread-exit destructor) just queues directly.
+        let held = HELD
+            .try_with(|h| {
+                let mut h = h.borrow_mut();
+                if h.active {
+                    h.tasks.push(Arc::clone(self));
+                }
+                h.active
+            })
+            .unwrap_or(false);
+        if !held {
+            self.queue.push([Arc::clone(self)]);
         }
     }
 }
@@ -123,9 +261,10 @@ impl Executor {
     /// Spawn `threads` workers (min 1).
     pub fn new(threads: usize) -> Executor {
         let queue = Arc::new(Queue {
-            injector: StdMutex::new(VecDeque::new()),
+            injector: StdMutex::new(Injector::default()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            workers: threads.max(1),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -179,7 +318,13 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        self.queue.shutdown.store(true, Ordering::Release);
+        {
+            // Under the lock: a worker between its shutdown check and
+            // its wait would otherwise miss both the flag and the
+            // notification, and sleep forever.
+            let _injector = self.queue.injector();
+            self.queue.shutdown.store(true, Ordering::Release);
+        }
         self.queue.available.notify_all();
         for worker in self.workers.drain(..) {
             worker.join().expect("executor worker panicked");
@@ -188,34 +333,40 @@ impl Drop for Executor {
 }
 
 fn worker_loop(queue: &Arc<Queue>) {
+    let mut run: Vec<Arc<Task>> = Vec::with_capacity(RUN);
     loop {
-        let task = {
+        {
             let mut injector = queue.injector();
-            loop {
-                if let Some(task) = injector.pop_front() {
-                    break task;
-                }
+            while injector.tasks.is_empty() {
                 if queue.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                injector.sleepers += 1;
                 injector = queue
                     .available
                     .wait(injector)
                     .unwrap_or_else(|e| e.into_inner());
+                injector.sleepers -= 1;
             }
-        };
-        // Clear `queued` *before* polling: a wake that lands mid-poll
-        // re-enqueues the task, guaranteeing at least one more poll sees
-        // whatever the waker announced.
-        task.queued.store(false, Ordering::Release);
-        let waker = Waker::from(Arc::clone(&task));
-        let mut cx = Context::from_waker(&waker);
-        let mut slot = task.future.lock();
-        if let Some(future) = slot.as_mut() {
-            if future.as_mut().poll(&mut cx).is_ready() {
-                *slot = None; // completed: drop the future, ignore re-wakes
-            }
+            let take = (injector.tasks.len() / queue.workers).clamp(1, RUN);
+            run.extend(injector.tasks.drain(..take));
         }
+        coalesce(|| {
+            for task in run.drain(..) {
+                // Clear `queued` *before* polling: a wake that lands
+                // mid-poll re-enqueues the task, guaranteeing at least
+                // one more poll sees whatever the waker announced.
+                task.queued.store(false, Ordering::Release);
+                let waker = Waker::from(Arc::clone(&task));
+                let mut cx = Context::from_waker(&waker);
+                let mut slot = task.future.lock();
+                if let Some(future) = slot.as_mut() {
+                    if future.as_mut().poll(&mut cx).is_ready() {
+                        *slot = None; // completed: drop the future, ignore re-wakes
+                    }
+                }
+            }
+        });
     }
 }
 
@@ -249,6 +400,10 @@ pub fn block_on<T, F: Future<Output = T>>(future: F) -> T {
         if let Poll::Ready(value) = future.as_mut().poll(&mut cx) {
             return value;
         }
+        // Called from inside a task (a [`coalesce`] scope), the future
+        // may be waiting on a held doorbell or wake: release them before
+        // sleeping.
+        release();
         while !notify.notified.swap(false, Ordering::AcqRel) {
             std::thread::park();
         }
@@ -367,6 +522,30 @@ mod tests {
         }
         flag.store(true, Ordering::Release);
         waker_out.lock().take().unwrap().wake();
+        handle.join();
+    }
+
+    #[test]
+    fn wakes_inside_a_coalesce_scope_queue_when_it_ends() {
+        let exec = Executor::new(1);
+        let flag = Arc::new(AtomicBool::new(false));
+        let waker_out = Arc::new(Mutex::new(None));
+        let handle = exec.spawn(FlagFuture {
+            flag: Arc::clone(&flag),
+            waker_out: Arc::clone(&waker_out),
+        });
+        while waker_out.lock().is_none() {
+            std::thread::yield_now();
+        }
+        flag.store(true, Ordering::Release);
+        let waker = waker_out.lock().take().unwrap();
+        coalesce(|| {
+            waker.wake_by_ref();
+            assert!(
+                exec.queue.injector().tasks.is_empty(),
+                "a wake inside the scope is held, not queued"
+            );
+        });
         handle.join();
     }
 

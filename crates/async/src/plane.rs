@@ -334,6 +334,44 @@ mod tests {
     }
 
     #[test]
+    fn a_coalesced_submit_rings_its_doorbell_when_the_scope_ends() {
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let plane = AsyncPlane::start(Arc::new(k), PlaneConfig::default()).unwrap();
+        let session = plane.session(clients[0]).unwrap();
+        let waker = Waker::from(Arc::new(NoopWake));
+        let mut cx = Context::from_waker(&waker);
+        let mut futures: Vec<CallFuture> = (0..4u64)
+            .map(|i| session.call(incr, i.to_le_bytes()))
+            .collect();
+        crate::exec::coalesce(|| {
+            for future in &mut futures {
+                assert!(Pin::new(future).poll(&mut cx).is_pending());
+            }
+            // Submitted, but the slot is not flagged: no drainer sees
+            // the four calls before the scope rings once for all.
+            assert!(!plane.set.any_ready(), "doorbell held until scope end");
+        });
+        for (i, future) in futures.into_iter().enumerate() {
+            assert_eq!(block_on(future), Ok((i as u64 + 1).to_le_bytes().to_vec()));
+        }
+        plane.shutdown();
+    }
+
+    /// A task that blocks on a call (as `Dispatcher::dispatch_one` does)
+    /// must not wait on a doorbell its own worker run is holding.
+    #[test]
+    fn block_on_inside_a_task_rings_the_held_doorbell() {
+        let (k, _m, clients, incr) = kernel_with_clients(1);
+        let plane = AsyncPlane::start(Arc::new(k), PlaneConfig::default()).unwrap();
+        let session = plane.session(clients[0]).unwrap();
+        let exec = Executor::new(1);
+        let handle = exec.spawn(async move { block_on(session.call(incr, 41u64.to_le_bytes())) });
+        assert_eq!(handle.join(), Ok(42u64.to_le_bytes().to_vec()));
+        drop(exec);
+        plane.shutdown();
+    }
+
+    #[test]
     fn shutdown_routes_the_final_sweep_before_detaching() {
         const CALLS: u64 = 16; // fits the default submission ring: no bounce
         let (k, _m, clients, incr) = kernel_with_clients(1);

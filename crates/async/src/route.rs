@@ -24,6 +24,7 @@
 //! arrives, finds no entry, and is discarded — no waker leak, no slot
 //! leak, nothing for anyone to clean up later.
 
+use crate::exec::coalesce;
 use parking_lot::Mutex;
 use secmod_obs::{DispatchMetrics, Flavor};
 use secmod_ring::{RingSet, SmodCallResp};
@@ -115,12 +116,17 @@ pub(crate) type TableMap = Mutex<HashMap<usize, Arc<SlotTable>>>;
 /// Each routed completion's simulated cost lands in `metrics`'
 /// async-flavor histogram — the latency observed *through the futures
 /// frontend*, as opposed to the sweep-flavor records the drainer made
-/// while producing it.
+/// while producing it. The pass's executor wakes are queued together
+/// when it ends ([`coalesce`]).
 pub(crate) fn route_completions(
     set: &RingSet,
     tables: &TableMap,
     metrics: Option<&DispatchMetrics>,
 ) -> usize {
+    coalesce(|| route_pass(set, tables, metrics))
+}
+
+fn route_pass(set: &RingSet, tables: &TableMap, metrics: Option<&DispatchMetrics>) -> usize {
     let mut routed = 0;
     set.sweep_completed(|slot, rings| {
         let table = tables.lock().get(&slot.0).cloned();

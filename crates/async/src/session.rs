@@ -21,6 +21,7 @@
 //! already-submitted request still executes (the kernel has it), but its
 //! completion is discarded by the router — cancellation without leaks.
 
+use crate::exec::ring_soon;
 use crate::route::{SlotTable, TableMap};
 use secmod_kernel::dispatch::{DispatchError, DispatchOutcome};
 use secmod_kernel::plane::PlaneHandle;
@@ -53,8 +54,15 @@ pub(crate) enum Target {
 impl Target {
     fn submit(&self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
         match self {
-            // PlaneHandle::submit does the inline-vs-arena placement.
-            Target::Plane(handle) => handle.submit(proc_id, user_data, args),
+            // `submit_quiet` does the inline-vs-arena placement; the
+            // doorbell rings once per worker run (a bounce rings at once).
+            Target::Plane(handle) => {
+                let outcome = handle.submit_quiet(proc_id, user_data, args);
+                if outcome.is_ok() {
+                    ring_soon(handle);
+                }
+                outcome
+            }
             Target::Raw { set, slot, rings } => set.submit(
                 *slot,
                 SmodCallReq {

@@ -60,7 +60,9 @@ pub use cred::Credential;
 pub use dispatch::{DispatchCall, DispatchCaps, DispatchError, DispatchOutcome, Dispatcher};
 pub use errno::Errno;
 pub use kernel::Kernel;
-pub use plane::{CrashSpec, DispatchPlane, PlaneConfig, PlaneHandle, PlaneStats, SubmitBatch};
+pub use plane::{
+    CrashSpec, DispatchPlane, Doorbell, PlaneConfig, PlaneHandle, PlaneStats, SubmitBatch,
+};
 pub use proc::{Pid, ProcFlags, ProcState, Process};
 pub use smod::{Session, SessionId, SessionState, SessionTable, SmodCallArgs};
 pub use smodreg::RegisteredModule;

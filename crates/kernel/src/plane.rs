@@ -25,10 +25,20 @@
 //!
 //! Parking uses the classic permit protocol (`std::thread::park` +
 //! `unpark`): a producer unparks the drainers *after* flagging
-//! readiness, a drainer re-checks the set *after* waking, and the park
+//! readiness, a drainer announces its park and then looks at the set
+//! once more before sleeping, re-checks it *after* waking, and the park
 //! itself has a timeout so a lost race costs one timeout tick, never a
-//! hang. Shutdown flags every slot once more and lets each drainer sweep
-//! the set dry before joining.
+//! hang. A drainer whose sweep found nothing polls the bitmap for a few
+//! tens of microseconds first, since under load the next doorbell is
+//! usually that close. Shutdown flags every slot once more and lets
+//! each drainer sweep the set dry before joining.
+//!
+//! The doorbell (readiness bit plus unpark) need not follow every push:
+//! [`PlaneHandle::submit_quiet`] leaves it to the producer, which rings
+//! the slot's [`Doorbell`] once for everything it queued. The async
+//! frontend's executor rings once per run of polled tasks, so the
+//! drainer sweeps a batch rather than chasing the producer entry by
+//! entry.
 //!
 //! ## Multi-tenant planes
 //!
@@ -66,13 +76,20 @@ use secmod_ring::{
     ArgArena, ArgRef, ClaimLedger, RingPairConfig, RingSet, RingSlotId, SessionRings, SmodCallReq,
     SmodCallResp, SubmitError, SMOD_BATCH_DEFAULT_BUDGET,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Floor for the clamped heartbeat-slack park (a zero park would spin).
 const MIN_PARK: Duration = Duration::from_micros(100);
+
+/// How long a drainer whose sweep found nothing ready polls the
+/// readiness bitmap before it parks. Under load the next submission is
+/// usually a few microseconds away, and a park it then has to undo costs
+/// the drainer a sleep and the producer an unpark syscall, on the
+/// producer's own call path.
+const IDLE_SPIN: Duration = Duration::from_micros(50);
 
 /// A fault-injection drill: drainer `drainer` claims ready work like a
 /// real sweep would, then dies holding the claims (its thread exits
@@ -339,6 +356,10 @@ impl PlaneShared {
     /// thread is a stored permit, so overshooting is safe, just not
     /// free).
     fn wake(&self) {
+        // Orders the caller's readiness flag before the read of `idle`;
+        // pairs with the drainer's fence between announcing a park and
+        // its last look at the bitmap.
+        fence(Ordering::SeqCst);
         if self.idle.load(Ordering::Acquire) == 0 {
             return;
         }
@@ -722,18 +743,49 @@ fn drainer_loop(shared: &PlaneShared, ctx: DrainerCtx) -> PlaneStats {
         if shared.stop.load(Ordering::Acquire) {
             break;
         }
-        // Announce the park *before* parking: a producer that submits
-        // after reading idle == 0 raced a drainer still mid-sweep; one
-        // that reads idle > 0 unparks us (stored permit — a park after
-        // the unpark returns immediately). The timeout backstops the
-        // remaining window and paces retries on unserviceable slots.
+        // Poll briefly before parking, but only after a sweep that found
+        // nothing ready: a bit that appears then is new work. Slots left
+        // flagged but unserviceable make the sweep non-empty, so they
+        // still fall through to the park.
+        let dry = report.sessions_ready == 0;
+        if dry && spin_for_ready(shared) {
+            continue;
+        }
+        // Announce the park *before* parking, then look once more: a
+        // producer that flagged its slot before the announcement may
+        // have read idle == 0 and unparked nobody (the fences pair with
+        // the one in `PlaneShared::wake`, so either it sees the
+        // announcement or we see its flag). One that reads idle > 0
+        // unparks us (stored permit — a park after the unpark returns
+        // immediately). The timeout backstops the window after a
+        // non-empty sweep and paces retries on unserviceable slots.
         shared.idle.fetch_add(1, Ordering::AcqRel);
+        fence(Ordering::SeqCst);
+        if dry && shared.set.any_ready() {
+            shared.idle.fetch_sub(1, Ordering::AcqRel);
+            continue;
+        }
         shared.kernel.metrics.drainer_parks.incr();
         std::thread::park_timeout(park_timeout);
         shared.kernel.metrics.drainer_unparks.incr();
         shared.idle.fetch_sub(1, Ordering::AcqRel);
     }
     stats
+}
+
+/// Poll the readiness bitmap for up to [`IDLE_SPIN`]: true as soon as
+/// a slot is flagged, false once the spin runs out or the plane stops.
+fn spin_for_ready(shared: &PlaneShared) -> bool {
+    let start = std::time::Instant::now();
+    loop {
+        if shared.set.any_ready() {
+            return true;
+        }
+        if shared.stop.load(Ordering::Relaxed) || start.elapsed() >= IDLE_SPIN {
+            return false;
+        }
+        std::hint::spin_loop();
+    }
 }
 
 /// The supervisor: poll the monitor every `check_interval`, and for each
@@ -807,6 +859,26 @@ impl PlaneHandle {
     /// retry. [`SubmitError::Detached`] means the plane has shut down:
     /// no drainer will ever run again and retrying is useless.
     pub fn submit(&self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
+        let outcome = self.submit_quiet(proc_id, user_data, args);
+        if outcome.is_ok() {
+            self.ring_doorbell();
+        }
+        outcome
+    }
+
+    /// [`PlaneHandle::submit`] without the doorbell on success: the entry
+    /// is in the submission ring, but no drainer is told until someone
+    /// rings this slot's [`Doorbell`] (or a sweep that claimed the slot
+    /// for other entries drains it too). A producer about to submit more
+    /// rings once for all of them, and the drainer then sweeps one batch
+    /// instead of chasing the producer entry by entry. A bounce rings at
+    /// once, so [`SubmitError::Full`] keeps its contract.
+    pub fn submit_quiet(
+        &self,
+        proc_id: u32,
+        user_data: u64,
+        args: Vec<u8>,
+    ) -> Result<(), SubmitError> {
         // Large payloads go through the session's arena region (when the
         // plane has one): the ring slot then carries a 12-byte descriptor
         // and the kernel reads the bytes in place. Quota exhaustion falls
@@ -821,13 +893,28 @@ impl PlaneHandle {
         if self.shared.stop.load(Ordering::Acquire) {
             return Err(SubmitError::Detached(req));
         }
-        let outcome = self.rings.sq.push(req);
+        self.rings.sq.push(req).map_err(|req| {
+            // Ring even if nothing else is pending: the ring being full
+            // means in-flight work the drain will clear.
+            self.ring_doorbell();
+            self.shared.kernel.metrics.ring_full_bounces.incr();
+            SubmitError::Full(req)
+        })
+    }
+
+    /// Flag this slot ready and wake an idle drainer.
+    fn ring_doorbell(&self) {
         self.shared.set.mark_ready(self.slot);
         self.shared.wake();
-        if outcome.is_err() {
-            self.shared.kernel.metrics.ring_full_bounces.incr();
+    }
+
+    /// This slot's doorbell, to ring later (see
+    /// [`PlaneHandle::submit_quiet`]).
+    pub fn doorbell(&self) -> Doorbell {
+        Doorbell {
+            shared: Arc::clone(&self.shared),
+            slot: self.slot,
         }
-        outcome.map_err(SubmitError::Full)
     }
 
     /// Begin a coalesced submission batch. Entries pushed through the
@@ -954,32 +1041,16 @@ impl SubmitBatch<'_> {
     /// [`SubmitError::Detached`] the prefix is also flushed — the
     /// shutdown sweep drains whatever was accepted.
     pub fn push(&mut self, proc_id: u32, user_data: u64, args: Vec<u8>) -> Result<(), SubmitError> {
-        let args = ArgRef::place_vec(args, self.handle.rings.arena.as_ref());
-        let req = SmodCallReq {
-            session: self.handle.rings.session,
-            proc_id,
-            user_data,
-            args,
-        };
-        if self.handle.shared.stop.load(Ordering::Acquire) {
-            self.flush();
-            return Err(SubmitError::Detached(req));
-        }
-        match self.handle.rings.sq.push(req) {
-            Ok(()) => {
-                self.pending += 1;
-                Ok(())
-            }
-            Err(req) => {
-                // Ring the doorbell even if nothing is pending: the ring
-                // being full means in-flight work this drain will clear.
-                self.pending = 0;
-                self.handle.shared.set.mark_ready(self.handle.slot);
-                self.handle.shared.wake();
-                self.handle.shared.kernel.metrics.ring_full_bounces.incr();
-                Err(SubmitError::Full(req))
+        let outcome = self.handle.submit_quiet(proc_id, user_data, args);
+        match outcome {
+            Ok(()) => self.pending += 1,
+            // The bounce rang the doorbell for the whole prefix.
+            Err(SubmitError::Full(_)) => self.pending = 0,
+            Err(SubmitError::Detached(_)) => {
+                self.flush();
             }
         }
+        outcome
     }
 
     /// Entries accepted since the last doorbell.
@@ -993,10 +1064,39 @@ impl SubmitBatch<'_> {
     pub fn flush(&mut self) -> usize {
         let n = std::mem::take(&mut self.pending);
         if n > 0 {
-            self.handle.shared.set.mark_ready(self.handle.slot);
-            self.handle.shared.wake();
+            self.handle.ring_doorbell();
         }
         n
+    }
+}
+
+/// One slot's doorbell, apart from its [`PlaneHandle`]: ringing it flags
+/// the slot ready and wakes an idle drainer, as
+/// [`PlaneHandle::submit`] does after every push.
+#[derive(Clone)]
+pub struct Doorbell {
+    shared: Arc<PlaneShared>,
+    slot: RingSlotId,
+}
+
+impl Doorbell {
+    /// Flag the slot ready and wake an idle drainer.
+    pub fn ring(&self) {
+        self.shared.set.mark_ready(self.slot);
+        self.shared.wake();
+    }
+
+    /// Does this doorbell ring `handle`'s slot?
+    pub fn is_for(&self, handle: &PlaneHandle) -> bool {
+        Arc::ptr_eq(&self.shared, &handle.shared) && self.slot == handle.slot
+    }
+}
+
+impl std::fmt::Debug for Doorbell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Doorbell")
+            .field("slot", &self.slot)
+            .finish()
     }
 }
 
